@@ -18,6 +18,7 @@ from .divergences import (
 )
 from .errors import (
     AllZeroError,
+    CertificateMismatch,
     DivprojError,
     DomainError,
     DomainViolation,

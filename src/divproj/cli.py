@@ -1,10 +1,11 @@
 """Command-line interface.
 
 One binary, subcommand style.  Exit codes: 0 success, 1 numeric failure
-(with a partial report on stdout), 2 input/usage error.  Reports are valid
-JSON under ``--format json`` (the default) and flat ``key = value`` lines
-under ``--format text``; every numeric is printed at 12 significant digits
-and the RNG seed is recorded in every report.
+(with a partial report on stdout), 2 input error (an error report on stdout,
+the message also on stderr; argparse usage errors print usage only).
+Reports are valid JSON under ``--format json`` (the default) and flat
+``key = value`` lines under ``--format text``; every numeric is printed at
+12 significant digits and the RNG seed is recorded in every report.
 """
 
 from __future__ import annotations
@@ -247,7 +248,7 @@ def _cmd_project_reverse(args, cfg):
     if args.alpha is not None and abs(args.alpha - spec.alpha) > 1e-15:
         raise InputError("--alpha disagrees with the family file's alpha")
     sample = load_sample(args.sample, alphabet=spec.alphabet)
-    res = reverse_dpd_projection(sample, spec)
+    res = reverse_dpd_projection(sample, spec, membership_tol=cfg.membership_tol)
     return {
         "command": "project.reverse",
         "alpha": spec.alpha,
@@ -384,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "text"), default=None)
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None, help="accepted for scripting; orchestration is single-threaded")
     parser.add_argument("--residual-tol", type=float, default=None)
     parser.add_argument("--max-iter", type=int, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -484,39 +484,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _failure_report(args, exc, cfg) -> dict:
+    report = {
+        "command": args.command,
+        "error": type(exc).__name__,
+        "message": str(exc),
+        "seed": cfg.rng_seed,
+    }
+    best = getattr(exc, "best_theta", None)
+    if best is not None:
+        report["best_theta"] = best
+        report["best_residual"] = exc.best_residual
+    values = getattr(exc, "values", None)
+    if values:
+        report["values"] = list(values)
+    return report
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    cfg = RunConfig()
     try:
-        cfg = load_config(args.config) if args.config else RunConfig()
+        if args.config:
+            cfg = load_config(args.config)
         cfg = override(
             cfg,
             output_format=args.format,
             rng_seed=args.seed,
-            threads=args.threads,
             residual_tol=args.residual_tol,
             max_iterations=args.max_iter,
         )
-    except InputError as exc:
-        print(f"divproj: {exc}", file=sys.stderr)
-        return 2
-    try:
         report = args.handler(args, cfg)
     except InputError as exc:
         print(f"divproj: {exc}", file=sys.stderr)
+        _emit(_failure_report(args, exc, cfg), cfg)
         return 2
     except NumericFailure as exc:
-        partial = {
-            "command": args.command,
-            "error": type(exc).__name__,
-            "message": str(exc),
-            "seed": cfg.rng_seed,
-        }
-        best = getattr(exc, "best_theta", None)
-        if best is not None:
-            partial["best_theta"] = best
-            partial["best_residual"] = exc.best_residual
-        _emit(partial, cfg)
+        _emit(_failure_report(args, exc, cfg), cfg)
         return 1
     report["seed"] = cfg.rng_seed
     _emit(report, cfg)

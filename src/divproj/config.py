@@ -13,33 +13,27 @@ from .errors import InputError
 
 _FIELDS = {
     "residual_tol": float,
-    "equivalence_tol": float,
     "membership_tol": float,
     "max_iterations": int,
     "rng_seed": int,
     "output_format": str,
-    "threads": int,
 }
 
 
 @dataclass(frozen=True)
 class RunConfig:
     residual_tol: float = 1e-10
-    equivalence_tol: float = 1e-6
     membership_tol: float = 1e-8
     max_iterations: int = 200
     rng_seed: int = 0
     output_format: str = "json"
-    threads: int = 1
 
     def __post_init__(self):
-        for name in ("residual_tol", "equivalence_tol", "membership_tol"):
+        for name in ("residual_tol", "membership_tol"):
             if getattr(self, name) <= 0.0:
                 raise InputError(f"{name} must be positive")
         if self.max_iterations < 1:
             raise InputError("max_iterations must be >= 1")
-        if self.threads < 1:
-            raise InputError("threads must be >= 1")
         if self.output_format not in ("json", "text"):
             raise InputError("output_format must be json or text")
 

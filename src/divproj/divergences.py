@@ -3,14 +3,22 @@
 All four vanish exactly at P = Q and are nonnegative.  ``alpha = 1`` is
 handled by explicit dispatch to the KL divergence rather than by evaluating
 the alpha != 1 formulas near 1 (catastrophic cancellation in the
-1/(alpha-1) log terms).  Log-sum terms go through a max-shifted
-log-sum-exp so that alpha >= 3 on skewed distributions cannot underflow.
+1/(alpha-1) log terms).
+
+Each divergence is written once, as a numpy kernel over the last axis whose
+two arguments broadcast: a (m,) vector against a (n, m) matrix evaluates
+D(P_i, q) or D(p, Q_i) row by row, which is what the grid oracles need, and
+the scalar functions are validating wrappers that call the kernel with one
+row.  Log-sum terms are max-shifted so that alpha >= 3 on skewed
+distributions can neither underflow nor overflow.
 
 Boundary (non-strict) distributions are accepted only where the mathematics
 stays meaningful: KL uses the standard 0*log(0) = 0 convention, the density
 power divergence accepts boundary arguments everywhere and returns ``inf``
 for alpha < 1 when P is not absolutely continuous w.r.t. Q, and the Renyi /
-relative alpha-entropy formulas accept zeros only for alpha in (0, 1).
+relative alpha-entropy formulas accept zeros only for alpha in (0, 1).  The
+row form skips these checks: the oracle feeds it boundary grid rows against
+a strictly positive second argument.
 """
 
 from __future__ import annotations
@@ -18,7 +26,6 @@ from __future__ import annotations
 import enum
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DomainError
 from .measures import Distribution, check_alpha, same_alphabet
@@ -31,45 +38,106 @@ class DivergenceKind(enum.Enum):
     REL_ALPHA_ENTROPY = "rae"
 
 
+# --- kernels: last axis is the alphabet, leading axes broadcast ---------------
+
+
+def _log_sum_exp(terms: np.ndarray) -> np.ndarray:
+    """log sum exp over the last axis, max-shifted.
+
+    A NaN term is a 0^a * 0^-b product, which counts as 0 (dropped); an
+    all-dropped row gives -inf and a +inf term gives +inf.
+    """
+    terms = np.where(np.isnan(terms), -np.inf, terms)
+    top = np.max(terms, axis=-1)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(np.exp(terms - shift[..., None]), axis=-1)) + shift
+
+
+def _kl_kernel(p, q):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(p > 0.0, p * (np.log(p) - np.log(q)), 0.0)
+    return np.sum(t, axis=-1)
+
+
+def _renyi_kernel(p, q, alpha):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = alpha * np.log(p) + (1.0 - alpha) * np.log(q)
+    return _log_sum_exp(terms) / (alpha - 1.0)
+
+
+def _density_power_kernel(p, q, alpha):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = np.where(p > 0.0, p * q ** (alpha - 1.0), 0.0)
+    s_cross = np.sum(cross, axis=-1)
+    s_p = np.sum(p**alpha, axis=-1)
+    s_q = np.sum(q**alpha, axis=-1)
+    return alpha / (1.0 - alpha) * s_cross - s_p / (1.0 - alpha) + s_q
+
+
+def _rel_alpha_entropy_kernel(p, q, alpha):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lp, lq = np.log(p), np.log(q)
+        log_cross = _log_sum_exp(lp + (alpha - 1.0) * lq)
+    log_p, log_q = _log_sum_exp(alpha * lp), _log_sum_exp(alpha * lq)
+    return alpha / (1.0 - alpha) * log_cross - log_p / (1.0 - alpha) + log_q
+
+
+_KERNELS = {
+    DivergenceKind.RENYI: _renyi_kernel,
+    DivergenceKind.DENSITY_POWER: _density_power_kernel,
+    DivergenceKind.REL_ALPHA_ENTROPY: _rel_alpha_entropy_kernel,
+}
+
+
+def divergence_rows(kind: DivergenceKind, p, q, alpha: float) -> np.ndarray:
+    """divergence(kind, P, Q, alpha) over the rows of two broadcasting arrays.
+
+    Either argument may be a (m,) vector or a (n, m) matrix of rows; the
+    result has one value per row.  No domain checks: boundary rows follow
+    the conventions of the module docstring.
+    """
+    kind = DivergenceKind(kind)
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    if alpha == 1.0 or kind is DivergenceKind.KL:
+        return _kl_kernel(p, q)
+    return _KERNELS[kind](p, q, alpha)
+
+
+# the oracle's reverse form D(p, Q_i) is the same kernel with the rows second
+divergence_fixed_p = divergence_rows
+
+
+# --- scalar entry points: validate, then evaluate one row --------------------
+
+
 def kl(p: Distribution, q: Distribution) -> float:
     """Kullback-Leibler divergence sum_x p(x) log(p(x)/q(x))."""
     same_alphabet(p, q)
-    pv, qv = p.probs, q.probs
-    mask = pv > 0.0
-    if np.any(qv[mask] == 0.0):
+    if np.any(q.probs[p.probs > 0.0] == 0.0):
         raise DomainError("KL undefined: Q vanishes where P does not")
-    return float(np.sum(pv[mask] * (np.log(pv[mask]) - np.log(qv[mask]))))
+    return float(_kl_kernel(p.probs, q.probs))
 
 
-def _require_positivity(p: Distribution, q: Distribution, alpha: float) -> None:
-    # zeros are tolerable only in the alpha < 1 regime of the log formulas
-    if alpha > 1.0 and not (p.is_strictly_positive() and q.is_strictly_positive()):
+def _scalar(kind: DivergenceKind, p: Distribution, q: Distribution, alpha: float) -> float:
+    """Validate, then evaluate the kind's kernel on one row; alpha = 1 is KL."""
+    alpha = check_alpha(alpha, allow_one=True)
+    if alpha == 1.0 or kind is DivergenceKind.KL:
+        return kl(p, q)
+    same_alphabet(p, q)
+    # the log formulas tolerate zeros only in the alpha < 1 regime
+    if (
+        alpha > 1.0
+        and kind is not DivergenceKind.DENSITY_POWER
+        and not (p.is_strictly_positive() and q.is_strictly_positive())
+    ):
         raise DomainError("zero entries require alpha in (0, 1) for this divergence")
-
-
-def _log_power_sum(pv: np.ndarray, a: float, qv: np.ndarray, b: float) -> float:
-    """log sum_x p(x)^a q(x)^b, max-shifted, with 0^positive = 0 terms dropped."""
-    with np.errstate(divide="ignore"):
-        terms = a * np.log(pv)
-        if b != 0.0:
-            terms = terms + b * np.log(qv)
-    finite = terms > -np.inf
-    if not np.any(finite):
-        return -np.inf
-    if np.any(terms == np.inf):
-        return np.inf
-    return float(logsumexp(terms[finite]))
+    return float(_KERNELS[kind](p.probs, q.probs, alpha))
 
 
 def renyi_d(p: Distribution, q: Distribution, alpha: float) -> float:
     """Renyi (power) divergence of order alpha."""
-    alpha = check_alpha(alpha, allow_one=True)
-    if alpha == 1.0:
-        return kl(p, q)
-    same_alphabet(p, q)
-    _require_positivity(p, q, alpha)
-    log_s = _log_power_sum(p.probs, alpha, q.probs, 1.0 - alpha)
-    return float(log_s / (alpha - 1.0))
+    return _scalar(DivergenceKind.RENYI, p, q, alpha)
 
 
 def density_power(p: Distribution, q: Distribution, alpha: float) -> float:
@@ -78,115 +146,14 @@ def density_power(p: Distribution, q: Distribution, alpha: float) -> float:
     Accepts boundary distributions; returns ``inf`` when alpha < 1 and P
     puts mass where Q does not (the usual convention).
     """
-    alpha = check_alpha(alpha, allow_one=True)
-    if alpha == 1.0:
-        return kl(p, q)
-    same_alphabet(p, q)
-    pv, qv = p.probs, q.probs
-    if alpha < 1.0 and np.any(pv[qv == 0.0] > 0.0):
-        return np.inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cross = np.where(pv > 0.0, pv * qv ** (alpha - 1.0), 0.0)
-    s_cross = float(np.sum(cross))
-    s_p = float(np.sum(pv**alpha))
-    s_q = float(np.sum(qv**alpha))
-    return alpha / (1.0 - alpha) * s_cross - s_p / (1.0 - alpha) + s_q
+    return _scalar(DivergenceKind.DENSITY_POWER, p, q, alpha)
 
 
 def rel_alpha_entropy(p: Distribution, q: Distribution, alpha: float) -> float:
     """Relative alpha-entropy (logarithmic density power divergence)."""
-    alpha = check_alpha(alpha, allow_one=True)
-    if alpha == 1.0:
-        return kl(p, q)
-    same_alphabet(p, q)
-    _require_positivity(p, q, alpha)
-    log_cross = _log_power_sum(p.probs, 1.0, q.probs, alpha - 1.0)
-    log_p = _log_power_sum(p.probs, alpha, q.probs, 0.0)
-    log_q = _log_power_sum(q.probs, alpha, p.probs, 0.0)
-    return float(
-        alpha / (1.0 - alpha) * log_cross - log_p / (1.0 - alpha) + log_q
-    )
-
-
-_DISPATCH = {
-    DivergenceKind.KL: lambda p, q, a: kl(p, q),
-    DivergenceKind.RENYI: renyi_d,
-    DivergenceKind.DENSITY_POWER: density_power,
-    DivergenceKind.REL_ALPHA_ENTROPY: rel_alpha_entropy,
-}
+    return _scalar(DivergenceKind.REL_ALPHA_ENTROPY, p, q, alpha)
 
 
 def divergence(kind: DivergenceKind, p: Distribution, q: Distribution, alpha: float = 1.0) -> float:
     """Unified dispatch; alpha = 1 routes every kind to KL."""
-    kind = DivergenceKind(kind)
-    alpha = check_alpha(alpha, allow_one=True)
-    if alpha == 1.0:
-        return kl(p, q)
-    return _DISPATCH[kind](p, q, alpha)
-
-
-# --- vectorized forms used by the grid oracle -------------------------------
-#
-# First argument fixed or varying over the rows of a (n, m) matrix; these
-# accept boundary rows (the simplex grid contains them) against a strictly
-# positive fixed argument.
-
-
-def kl_rows(p_rows: np.ndarray, q: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(p_rows > 0.0, p_rows * (np.log(p_rows) - np.log(q)), 0.0)
-    return t.sum(axis=1)
-
-
-def kl_fixed_p(p: np.ndarray, q_rows: np.ndarray) -> np.ndarray:
-    mask = p > 0.0
-    with np.errstate(divide="ignore"):
-        out = np.sum(p[mask] * (np.log(p[mask]) - np.log(q_rows[:, mask])), axis=1)
-    return out
-
-
-def divergence_rows(kind: DivergenceKind, p_rows: np.ndarray, q: np.ndarray, alpha: float) -> np.ndarray:
-    """divergence(kind, P_i, q, alpha) for every row P_i; q strictly positive."""
-    kind = DivergenceKind(kind)
-    if alpha == 1.0 or kind is DivergenceKind.KL:
-        return kl_rows(p_rows, q)
-    if kind is DivergenceKind.RENYI:
-        s = np.sum(p_rows**alpha * q ** (1.0 - alpha), axis=1)
-        return np.log(s) / (alpha - 1.0)
-    if kind is DivergenceKind.DENSITY_POWER:
-        s_cross = np.sum(p_rows * q ** (alpha - 1.0), axis=1)
-        s_p = np.sum(p_rows**alpha, axis=1)
-        s_q = float(np.sum(q**alpha))
-        return alpha / (1.0 - alpha) * s_cross - s_p / (1.0 - alpha) + s_q
-    s_cross = np.sum(p_rows * q ** (alpha - 1.0), axis=1)
-    s_p = np.sum(p_rows**alpha, axis=1)
-    s_q = float(np.sum(q**alpha))
-    with np.errstate(divide="ignore"):
-        return (
-            alpha / (1.0 - alpha) * np.log(s_cross)
-            - np.log(s_p) / (1.0 - alpha)
-            + np.log(s_q)
-        )
-
-
-def divergence_fixed_p(kind: DivergenceKind, p: np.ndarray, q_rows: np.ndarray, alpha: float) -> np.ndarray:
-    """divergence(kind, p, Q_i, alpha) over rows Q_i; rows strictly positive."""
-    kind = DivergenceKind(kind)
-    if alpha == 1.0 or kind is DivergenceKind.KL:
-        return kl_fixed_p(p, q_rows)
-    if kind is DivergenceKind.RENYI:
-        s = np.sum(p**alpha * q_rows ** (1.0 - alpha), axis=1)
-        return np.log(s) / (alpha - 1.0)
-    if kind is DivergenceKind.DENSITY_POWER:
-        s_cross = np.sum(p * q_rows ** (alpha - 1.0), axis=1)
-        s_p = float(np.sum(p**alpha))
-        s_q = np.sum(q_rows**alpha, axis=1)
-        return alpha / (1.0 - alpha) * s_cross - s_p / (1.0 - alpha) + s_q
-    s_cross = np.sum(p * q_rows ** (alpha - 1.0), axis=1)
-    s_p = float(np.sum(p**alpha))
-    s_q = np.sum(q_rows**alpha, axis=1)
-    return (
-        alpha / (1.0 - alpha) * np.log(s_cross)
-        - np.log(s_p) / (1.0 - alpha)
-        + np.log(s_q)
-    )
+    return _scalar(DivergenceKind(kind), p, q, alpha)

@@ -95,3 +95,15 @@ class EmptyFeasibleGrid(NumericFailure):
 
 class NoAdmissibleTheta(NumericFailure):
     """No point of a parameter grid lies in the admissible region."""
+
+
+class CertificateMismatch(NumericFailure):
+    """Two computations that must agree on a result did not.
+
+    ``values`` holds the two disagreeing results, in the order the message
+    names them.
+    """
+
+    def __init__(self, message, values=()):
+        super().__init__(message)
+        self.values = tuple(values)

@@ -62,7 +62,10 @@ def is_matched_pair(kind: EstimatorKind, spec: FamilySpec) -> bool:
 def score_matrix(spec: FamilySpec, theta) -> np.ndarray:
     """Analytic scores s(x; theta) for every symbol, as a (k, m) matrix."""
     p, z = member_with_normalizer(spec, theta)
-    pv = p.probs
+    return _scores(spec, p.probs, z)
+
+
+def _scores(spec: FamilySpec, pv: np.ndarray, z: float) -> np.ndarray:
     f = spec.f
     a = spec.alpha
     if spec.kind is FamilyKind.EXPONENTIAL:
@@ -89,24 +92,28 @@ def score(spec: FamilySpec, theta, x) -> np.ndarray:
 # --- likelihoods ---------------------------------------------------------------
 
 
-def likelihood(kind: EstimatorKind, spec: FamilySpec, theta, sample: SampleData, alpha: float | None = None) -> float:
-    """Value of the kind's (generalized) likelihood at theta."""
+def likelihood_rows(kind: EstimatorKind, probs: np.ndarray, ph: np.ndarray, alpha: float) -> np.ndarray:
+    """The kind's likelihood at every member row of ``probs`` ((n, m) or (m,)),
+    for the empirical weights ``ph``; alpha = 1 gives the log-likelihood."""
     kind = EstimatorKind(kind)
-    a = spec.alpha if alpha is None else check_alpha(alpha, allow_one=True)
-    p = eval_member(spec, theta)
-    ph = empirical_weights(sample)
-    pv = p.probs
-    if kind is EstimatorKind.MLE or a == 1.0:
-        return float(np.sum(ph * np.log(pv)))
+    if kind is EstimatorKind.MLE or alpha == 1.0:
+        return np.sum(ph * np.log(probs), axis=-1)
     if kind is EstimatorKind.HELLINGER:
         with np.errstate(divide="ignore"):
-            s = np.sum(np.where(ph > 0.0, ph**a * pv ** (1.0 - a), 0.0))
-        return float(np.log(s) / (1.0 - a))
+            s = np.sum(np.where(ph > 0.0, ph**alpha * probs ** (1.0 - alpha), 0.0), axis=-1)
+        return np.log(s) / (1.0 - alpha)
+    mean_pow = np.sum(ph * probs ** (alpha - 1.0), axis=-1)
+    s_pow = np.sum(probs**alpha, axis=-1)
     if kind is EstimatorKind.BASU:
-        mean_pow = float(np.sum(ph * pv ** (a - 1.0)))
-        return a / (a - 1.0) * mean_pow - 1.0 / (a - 1.0) - float(np.sum(pv**a))
-    mean_pow = float(np.sum(ph * pv ** (a - 1.0)))
-    return a / (a - 1.0) * np.log(mean_pow) - float(np.log(np.sum(pv**a)))
+        return alpha / (alpha - 1.0) * mean_pow - 1.0 / (alpha - 1.0) - s_pow
+    return alpha / (alpha - 1.0) * np.log(mean_pow) - np.log(s_pow)
+
+
+def likelihood(kind: EstimatorKind, spec: FamilySpec, theta, sample: SampleData, alpha: float | None = None) -> float:
+    """Value of the kind's (generalized) likelihood at theta."""
+    a = spec.alpha if alpha is None else check_alpha(alpha, allow_one=True)
+    p = eval_member(spec, theta)
+    return float(likelihood_rows(kind, p.probs, empirical_weights(sample), a))
 
 
 # --- estimating-equation residuals ---------------------------------------------
@@ -116,9 +123,10 @@ def estimating_residual(kind: EstimatorKind, spec: FamilySpec, theta, sample: Sa
     """Left minus right of the kind's estimating equation (k-vector)."""
     kind = EstimatorKind(kind)
     a = spec.alpha if alpha is None else check_alpha(alpha, allow_one=True)
-    s = score_matrix(spec, theta)
+    p, z = member_with_normalizer(spec, theta)
+    pv = p.probs
+    s = _scores(spec, pv, z)
     ph = empirical_weights(sample)
-    pv = eval_member(spec, theta).probs
     if kind is EstimatorKind.MLE or a == 1.0:
         return s @ ph
     if kind is EstimatorKind.HELLINGER:

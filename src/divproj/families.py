@@ -12,8 +12,14 @@ For the power-law kinds the parameter domain is implicit: theta is admissible
 iff its defining bracket stays positive on the whole alphabet.  The
 non-normalized kind carries its normalizer *inside* the bracket, so Z(theta)
 is the root of a one-dimensional monotone mass equation rather than an
-explicit sum.  Evaluation works in the bracket domain and raises the final
+explicit sum; it is found by a safeguarded Newton iteration that keeps a
+closed-form bracket around the root and bisects whenever a Newton step would
+leave it.  Evaluation works in the bracket domain and raises the final
 power once, which keeps domain checks exact.
+
+Members are evaluated by one kernel over rows of parameters (the grid
+oracle's batches); ``member_with_normalizer`` and ``normalizer_root`` are its
+one-row cases, so scalar and batch calls agree on values and admissibility.
 """
 
 from __future__ import annotations
@@ -85,13 +91,20 @@ class FamilySpec:
             alpha = 1.0
         else:
             alpha = check_alpha(alpha)
-        if kind is FamilyKind.ALPHA_POWER_LAW:
-            # needed for the moment map to be one-one
-            qa = self.q.probs ** (alpha - 1.0)
-            if _rank(np.vstack([f, qa])) < f.shape[0] + 1:
-                raise InvalidDistribution(
-                    "Q^(alpha-1) must be linearly independent of the statistic rows"
-                )
+        # the normalization absorbs one direction of the tilt (a constant, or
+        # a multiple of the reference bracket); theta is identifiable, and the
+        # power-law moment map one-one, only if f does not reach it
+        absorbed, name = {
+            FamilyKind.EXPONENTIAL: (np.ones(self.q.m), "the constant vector"),
+            FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW: (np.ones(self.q.m), "the constant vector"),
+            FamilyKind.ALPHA_POWER_LAW: (self.q.probs ** (alpha - 1.0), "Q^(alpha-1)"),
+            FamilyKind.ALPHA_EXPONENTIAL: (self.q.probs ** (1.0 - alpha), "Q^(1-alpha)"),
+        }[kind]
+        if _rank(np.vstack([f, absorbed])) < f.shape[0] + 1:
+            raise InvalidDistribution(
+                f"{name} must be linearly independent of the statistic rows"
+                " (theta is not identifiable)"
+            )
         f = f.copy()
         f.setflags(write=False)
         object.__setattr__(self, "f", f)
@@ -115,18 +128,23 @@ def _check_theta(spec: FamilySpec, theta) -> np.ndarray:
     return theta
 
 
+def _bracket(spec: FamilySpec, tilt: np.ndarray, z=0.0) -> np.ndarray:
+    """The defining bracket of a power-law kind at tilt = theta.f (any leading
+    axes); ``z`` enters only for the non-normalized kind."""
+    a = spec.alpha
+    if spec.kind is FamilyKind.ALPHA_EXPONENTIAL:
+        return spec.q.probs ** (1.0 - a) + (1.0 - a) * tilt
+    return spec.q.probs ** (a - 1.0) + (1.0 - a) * (z + tilt)
+
+
 def bracket_values(spec: FamilySpec, theta, z: float = 0.0) -> np.ndarray:
     """The defining bracket u(x) of a power-law kind, per symbol."""
     theta = _check_theta(spec, theta)
-    a = spec.alpha
-    tilt = theta @ spec.f
+    if spec.kind is FamilyKind.EXPONENTIAL:
+        raise DomainError("exponential family has no bracket")
     if spec.kind is FamilyKind.ALPHA_POWER_LAW:
-        return spec.q.probs ** (a - 1.0) + (1.0 - a) * tilt
-    if spec.kind is FamilyKind.ALPHA_EXPONENTIAL:
-        return spec.q.probs ** (1.0 - a) + (1.0 - a) * tilt
-    if spec.kind is FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW:
-        return spec.q.probs ** (a - 1.0) + (1.0 - a) * (z + tilt)
-    raise DomainError("exponential family has no bracket")
+        z = 0.0
+    return _bracket(spec, theta @ spec.f, z)
 
 
 def is_admissible(spec: FamilySpec, theta) -> bool:
@@ -144,31 +162,55 @@ def _violating_symbols(spec: FamilySpec, bracket: np.ndarray) -> tuple[str, ...]
     )
 
 
+def _members(spec: FamilySpec, thetas: np.ndarray, z=None):
+    """Members at the rows of ``thetas`` (n, k): ``(probs, z, ok)``.
+
+    ``probs`` is (n, m) with NaN rows where ``ok`` is False and ``z`` holds
+    each row's normalizing constant.  The non-normalized kind solves for its
+    normalizers unless they are given.
+    """
+    a = spec.alpha
+    tilt = thetas @ spec.f
+    # the (n, m) work arrays are updated in place: oracle grids reach 1e5 rows
+    if spec.kind is FamilyKind.EXPONENTIAL:
+        w = np.log(spec.q.probs) + tilt
+        shift = w.max(axis=1)
+        w -= shift[:, None]
+        np.exp(w, out=w)
+        total = w.sum(axis=1)
+        w /= total[:, None]
+        return w, total * np.exp(shift), np.ones(len(tilt), dtype=bool)
+    found = True
+    if spec.kind is FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW:
+        if z is None:
+            z, found = _normalizer_rows(spec, tilt)[:2]
+        bracket = _bracket(spec, tilt, z[:, None])
+    else:
+        bracket = _bracket(spec, tilt)
+    ok = (bracket > 0.0).all(axis=1) & found
+    w = bracket
+    w[~ok] = np.nan
+    w **= 1.0 / (1.0 - a) if spec.kind is FamilyKind.ALPHA_EXPONENTIAL else 1.0 / (a - 1.0)
+    total = w.sum(axis=1)
+    w /= total[:, None]
+    if spec.kind is not FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW:
+        z = total
+    return w, z, ok
+
+
 def member_with_normalizer(spec: FamilySpec, theta) -> tuple[Distribution, float]:
     """Evaluate P_theta together with its normalizing constant Z(theta)."""
     theta = _check_theta(spec, theta)
-    a = spec.alpha
-    if spec.kind is FamilyKind.EXPONENTIAL:
-        logits = np.log(spec.q.probs) + theta @ spec.f
-        shift = logits.max()
-        w = np.exp(logits - shift)
-        z = float(w.sum() * np.exp(shift))
-        return Distribution(spec.alphabet, w / w.sum(), strict=True), z
+    z = None
     if spec.kind is FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW:
-        z = normalizer_root(spec, theta)
-        bracket = bracket_values(spec, theta, z)
-        probs = bracket ** (1.0 / (a - 1.0))
-        return Distribution(spec.alphabet, probs, strict=True), z
-    bracket = bracket_values(spec, theta)
-    if np.any(bracket <= 0.0):
+        z = np.array([normalizer_root(spec, theta)])
+    probs, z, ok = _members(spec, theta[None, :], z)
+    if not ok[0]:
         raise DomainViolation(
             "bracket non-positive on some symbols",
-            symbols=_violating_symbols(spec, bracket),
+            symbols=_violating_symbols(spec, bracket_values(spec, theta, z[0])),
         )
-    expo = 1.0 / (a - 1.0) if spec.kind is FamilyKind.ALPHA_POWER_LAW else 1.0 / (1.0 - a)
-    w = bracket**expo
-    z = float(w.sum())
-    return Distribution(spec.alphabet, w / z, strict=True), z
+    return Distribution(spec.alphabet, probs[0], strict=True), float(z[0])
 
 
 def eval_member(spec: FamilySpec, theta) -> Distribution:
@@ -176,134 +218,8 @@ def eval_member(spec: FamilySpec, theta) -> Distribution:
     return member_with_normalizer(spec, theta)[0]
 
 
-# --- implicit normalizer of the non-normalized kind -------------------------
-
-
-def _mass_and_slope(spec: FamilySpec, theta: np.ndarray, z: float):
-    a = spec.alpha
-    bracket = bracket_values(spec, theta, z)
-    if np.any(bracket <= 0.0):
-        return None, None
-    mass = float(np.sum(bracket ** (1.0 / (a - 1.0))))
-    slope = float(-np.sum(bracket ** ((2.0 - a) / (a - 1.0))))
-    return mass, slope
-
-
-def normalizer_root(spec: FamilySpec, theta, tol: float = 1e-12) -> float:
-    """Z(theta) with sum_x [Q^(a-1) + (1-a)(Z + theta.f)]^(1/(a-1)) = 1.
-
-    The total mass is strictly decreasing in Z on the admissible interval,
-    so the root is unique when it exists.  The bracket is grown
-    geometrically from Z = 0 (clamped into the admissible interval), then
-    refined by bisection and polished by Newton.
-    """
-    if spec.kind is not FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW:
-        raise DomainError("normalizer_root applies to the non-normalized kind only")
-    theta = _check_theta(spec, theta)
-    a = spec.alpha
-    tilt = theta @ spec.f
-    qa = spec.q.probs ** (a - 1.0)
-    # bracket(x) > 0  <=>  (a-1)(Z + tilt(x)) < qa(x)
-    if a > 1.0:
-        z_edge = float(np.min(qa / (a - 1.0) - tilt))  # admissible: Z < z_edge
-        direction = -1.0
-    else:
-        z_edge = float(np.max(-qa / (1.0 - a) - tilt))  # admissible: Z > z_edge
-        direction = +1.0
-    span = max(1.0, abs(z_edge))
-    z0 = 0.0
-    if direction < 0 and z0 >= z_edge:
-        z0 = z_edge - span
-    if direction > 0 and z0 <= z_edge:
-        z0 = z_edge + span
-
-    def mass(z):
-        m, _ = _mass_and_slope(spec, theta, z)
-        return m
-
-    m0 = mass(z0)
-    if m0 is None:
-        raise NormalizerNotFound("no admissible starting normalizer", interval=(z0, z0))
-    if abs(m0 - 1.0) <= tol:
-        return float(z0)
-    # walk toward the edge until the edge-side endpoint has mass on the
-    # correct side of 1 (mass decreases in Z); away from the edge mass always
-    # crosses 1 eventually, toward the edge it may not.
-    lo = hi = z0
-    m_lo = m_hi = m0
-    step = span
-    if m0 > 1.0:
-        # need larger Z; for a > 1 that runs toward the edge
-        for _ in range(200):
-            hi_try = hi + step if a < 1.0 else z_edge - (z_edge - hi) / 4.0
-            m_try = mass(hi_try)
-            if m_try is None:
-                break
-            hi, m_hi = hi_try, m_try
-            if m_hi <= 1.0:
-                break
-            step *= 2.0
-        if m_hi > 1.0:
-            raise NormalizerNotFound(
-                "total mass stays above 1 on the admissible interval",
-                interval=(lo, hi),
-            )
-    else:
-        # need smaller Z; for a < 1 that runs toward the edge
-        for _ in range(200):
-            lo_try = lo - step if a > 1.0 else z_edge + (lo - z_edge) / 4.0
-            m_try = mass(lo_try)
-            if m_try is None:
-                break
-            lo, m_lo = lo_try, m_try
-            if m_lo >= 1.0:
-                break
-            step *= 2.0
-        if m_lo < 1.0:
-            raise NormalizerNotFound(
-                "total mass stays below 1 on the admissible interval",
-                interval=(lo, hi),
-            )
-    if lo > hi:
-        lo, hi = hi, lo
-    m_lo, m_hi = mass(lo), mass(hi)
-    if m_lo is None or m_hi is None or m_lo < 1.0 or m_hi > 1.0:
-        raise NormalizerNotFound("failed to bracket the normalizer", interval=(lo, hi))
-    # monotonicity sanity on the final bracket
-    if m_lo < m_hi:
-        raise NormalizerNotFound("mass is not decreasing on the bracket", interval=(lo, hi))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        m_mid = mass(mid)
-        if m_mid is None or m_mid >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13 * max(1.0, abs(lo)):
-            break
-    z = 0.5 * (lo + hi)
-    for _ in range(40):
-        m, slope = _mass_and_slope(spec, theta, z)
-        if m is None:
-            z = 0.5 * (lo + hi)
-            break
-        if abs(m - 1.0) <= tol:
-            break
-        z_new = z - (m - 1.0) / slope
-        if not (lo - 1e-9 <= z_new <= hi + 1e-9):
-            z_new = 0.5 * (lo + hi)
-        z = z_new
-    m_final, _ = _mass_and_slope(spec, theta, z)
-    if m_final is None or abs(m_final - 1.0) > 1e-10:
-        raise NormalizerNotFound("normalizer refinement failed", interval=(lo, hi))
-    return float(z)
-
-
-# --- batch evaluation (used by the grid oracle) ------------------------------
-
-
 def eval_members_batch(spec: FamilySpec, thetas: np.ndarray):
-    """Evaluate many parameters at once.
+    """Evaluate many parameters at once: the row form of ``eval_member``.
 
     Returns ``(probs, admissible)`` where ``probs`` is (n, m) with NaN rows
     for inadmissible parameters and ``admissible`` is the boolean mask.
@@ -311,97 +227,92 @@ def eval_members_batch(spec: FamilySpec, thetas: np.ndarray):
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim == 1:
         thetas = thetas[:, None]
-    n = thetas.shape[0]
-    a = spec.alpha
-    if spec.kind is FamilyKind.EXPONENTIAL:
-        logits = np.log(spec.q.probs)[None, :] + thetas @ spec.f
-        logits -= logits.max(axis=1, keepdims=True)
-        w = np.exp(logits)
-        return w / w.sum(axis=1, keepdims=True), np.ones(n, dtype=bool)
-    if spec.kind in (FamilyKind.ALPHA_POWER_LAW, FamilyKind.ALPHA_EXPONENTIAL):
-        if spec.kind is FamilyKind.ALPHA_POWER_LAW:
-            base = spec.q.probs ** (a - 1.0)
-            expo = 1.0 / (a - 1.0)
-        else:
-            base = spec.q.probs ** (1.0 - a)
-            expo = 1.0 / (1.0 - a)
-        bracket = base[None, :] + (1.0 - a) * (thetas @ spec.f)
-        ok = np.all(bracket > 0.0, axis=1)
-        probs = np.full(bracket.shape, np.nan)
-        if np.any(ok):
-            w = bracket[ok] ** expo
-            probs[ok] = w / w.sum(axis=1, keepdims=True)
-        return probs, ok
-    return _eval_nn_batch(spec, thetas)
+    probs, _, ok = _members(spec, thetas)
+    return probs, ok
 
 
-def _eval_nn_batch(spec: FamilySpec, thetas: np.ndarray):
-    """Vectorized Newton on Z across many thetas for the non-normalized kind."""
+# --- implicit normalizer of the non-normalized kind -------------------------
+
+NORMALIZER_ACCEPT_TOL = 1e-10  # |mass - 1| a returned normalizer must meet
+NORMALIZER_MAX_STEPS = 100
+
+
+def _normalizer_rows(spec: FamilySpec, tilt: np.ndarray, tol: float = 1e-12):
+    """Z for every row of ``tilt`` = thetas @ f (n, m), all rows at once.
+
+    Symbol x's bracket is (1-a)(Z - e_x) with edge e_x = Q(x)^(a-1)/(a-1) -
+    tilt(x): |a-1| times the distance of Z from e_x.  So the admissible Z
+    form a half-line that ends at the nearest edge z_edge, and along it the
+    total mass is strictly decreasing in Z.  For a > 1 the mass grows without
+    bound away from the edge and is least at the edge itself, so a root
+    exists iff the edge mass is below 1; at z_edge - 1/(a-1) one bracket is
+    1 and the mass is at least 1.  For a < 1 the mass falls from +inf at the
+    edge to 0; at z_edge + m^(1-a)/(1-a) every bracket is at least m^(1-a)
+    and the mass at most 1.  Inside that bracket [lo, hi] a Newton step is
+    taken when it stays strictly inside and a bisection step otherwise,
+    until |mass - 1| <= tol.
+
+    Returns ``(z, found, has_root, lo, hi)``: ``found`` marks rows whose
+    normalizer keeps every bracket positive with |mass - 1| within
+    NORMALIZER_ACCEPT_TOL, ``has_root`` rows whose mass crosses 1 at all.
+    """
     a = spec.alpha
     qa = spec.q.probs ** (a - 1.0)
-    tilt = thetas @ spec.f  # (n, m)
-    n = tilt.shape[0]
-    if a > 1.0:
-        z_edge = np.min(qa[None, :] / (a - 1.0) - tilt, axis=1)
-        z = z_edge - np.maximum(1.0, np.abs(z_edge))
-    else:
-        z_edge = np.max(-qa[None, :] / (1.0 - a) - tilt, axis=1)
-        z = z_edge + np.maximum(1.0, np.abs(z_edge))
-    ok = np.ones(n, dtype=bool)
+    expo = 1.0 / (a - 1.0)
 
-    def mass_of(zv):
-        bracket = qa[None, :] + (1.0 - a) * (zv[:, None] + tilt)
-        bad = np.any(bracket <= 0.0, axis=1)
-        bracket = np.where(bracket > 0.0, bracket, 1.0)
-        m = np.sum(bracket ** (1.0 / (a - 1.0)), axis=1)
-        slope = -np.sum(bracket ** ((2.0 - a) / (a - 1.0)), axis=1)
-        return np.where(bad, np.nan, m), slope
+    def evaluate(z):
+        bracket = _bracket(spec, tilt, z[:, None])
+        admissible = (bracket > 0.0).all(axis=1)
+        np.maximum(bracket, 0.0, out=bracket)
+        return (bracket**expo).sum(axis=1), -(bracket ** (expo - 1.0)).sum(axis=1), admissible
 
-    # march the away-from-edge side until every point brackets mass = 1,
-    # or mark it inadmissible (a > 1 only)
-    m, _ = mass_of(z)
-    if a > 1.0:
-        # mass(z) is large near -inf; make sure we start above 1
-        for _ in range(60):
-            need = ok & (m < 1.0)
-            if not np.any(need):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z_edge = (np.min if a > 1.0 else np.max)(qa / (a - 1.0) - tilt, axis=1)
+        if a > 1.0:
+            lo, hi = z_edge - 1.0 / (a - 1.0), z_edge
+            has_root = evaluate(hi)[0] < 1.0
+        else:
+            lo, hi = z_edge, z_edge + qa.size ** (1.0 - a) / (1.0 - a)
+            has_root = np.ones(len(tilt), dtype=bool)
+        interval = (lo, hi)
+        z = np.where((lo < 0.0) & (0.0 < hi), 0.0, 0.5 * (lo + hi))
+        done = ~has_root
+        for step in range(NORMALIZER_MAX_STEPS):
+            mass, slope, admissible = evaluate(z)
+            above = mass >= 1.0
+            lo, hi = np.where(above, z, lo), np.where(above, hi, z)
+            newton = z - (mass - 1.0) / slope
+            inside = (lo < newton) & (newton < hi)
+            converged = np.abs(mass - 1.0) <= tol
+            if np.all(done | converged) or step == NORMALIZER_MAX_STEPS - 1:
                 break
-            z[need] -= np.maximum(1.0, np.abs(z[need]))
-            m, _ = mass_of(z)
-        lo = z
-        hi = z_edge - 1e-13 * np.maximum(1.0, np.abs(z_edge))
-        m_hi, _ = mass_of(hi)
-        ok &= m_hi <= 1.0  # no root if even the edge mass exceeds 1
-    else:
-        for _ in range(60):
-            need = ok & (m > 1.0)
-            if not np.any(need):
-                break
-            z[need] += np.maximum(1.0, np.abs(z[need]))
-            m, _ = mass_of(z)
-        hi = z
-        lo = z_edge + 1e-13 * np.maximum(1.0, np.abs(z_edge))
-        # mass blows up at the lower edge for a < 1, so a root always exists
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        m_mid, _ = mass_of(mid)
-        go_lo = np.isnan(m_mid) | (m_mid >= 1.0)
-        lo = np.where(go_lo, mid, lo)
-        hi = np.where(go_lo, hi, mid)
-        if np.all((hi - lo) < 1e-12 * np.maximum(1.0, np.abs(lo))):
-            break
-    z = 0.5 * (lo + hi)
-    bracket = qa[None, :] + (1.0 - a) * (z[:, None] + tilt)
-    ok &= np.all(bracket > 0.0, axis=1)
-    probs = np.full(bracket.shape, np.nan)
-    if np.any(ok):
-        w = bracket[ok] ** (1.0 / (a - 1.0))
-        total = w.sum(axis=1, keepdims=True)
-        ok_idx = np.where(ok)[0]
-        good = np.abs(total[:, 0] - 1.0) <= 1e-8
-        probs[ok_idx[good]] = (w / total)[good]
-        ok[ok_idx[~good]] = False
-    return probs, ok
+            z = np.where(done | converged, z, np.where(inside, newton, 0.5 * (lo + hi)))
+    found = has_root & admissible & (np.abs(mass - 1.0) <= NORMALIZER_ACCEPT_TOL)
+    # one last Newton step from |mass - 1| <= tol lands within rounding of the
+    # root, so Z(theta) is smooth to rounding and finite-difference gradients
+    # of the likelihoods see no solver noise; callers re-check the brackets
+    return np.where(found & inside, newton, z), found, has_root, *interval
+
+
+def normalizer_root(spec: FamilySpec, theta, tol: float = 1e-12) -> float:
+    """Z(theta) with sum_x [Q^(a-1) + (1-a)(Z + theta.f)]^(1/(a-1)) = 1.
+
+    The one-row case of the vectorized safeguarded Newton in Z; the total
+    mass is strictly decreasing in Z on the admissible interval, so the root
+    is unique when it exists.
+    """
+    if spec.kind is not FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW:
+        raise DomainError("normalizer_root applies to the non-normalized kind only")
+    theta = _check_theta(spec, theta)
+    z, found, has_root, lo, hi = _normalizer_rows(spec, (theta @ spec.f)[None, :], tol)
+    interval = (float(lo[0]), float(hi[0]))
+    if not has_root[0]:
+        raise NormalizerNotFound(
+            "total mass stays above 1 on the admissible interval", interval=interval
+        )
+    if not found[0]:
+        raise NormalizerNotFound("normalizer refinement failed", interval=interval)
+    return float(z[0])
 
 
 # --- escort correspondence ----------------------------------------------------
@@ -461,22 +372,26 @@ def fit_family_form(spec: FamilySpec, probs: np.ndarray, support=None):
     optional boolean ``support`` restricts the fit to a sub-alphabet (used
     by clamped forward projections).
     """
-    a = spec.alpha
-    q = spec.q.probs
-    f = spec.f
+    return _fit_form(spec.kind, spec.alpha, spec.q.probs, spec.f, probs, support)
+
+
+def _fit_form(kind: FamilyKind, a: float, q: np.ndarray, f: np.ndarray, probs: np.ndarray, support=None):
+    # fit_family_form on raw pieces: the forward projection's shape is the
+    # non-normalized form over a linear family's rows, which need not
+    # identify theta (lstsq then returns the minimum-norm split)
     if support is not None:
         probs = probs[support]
         q = q[support]
         f = f[:, support]
     m = len(probs)
     ones = np.ones(m)
-    if spec.kind is FamilyKind.EXPONENTIAL:
+    if kind is FamilyKind.EXPONENTIAL:
         design = np.column_stack([ones, f.T])
         target = np.log(probs) - np.log(q)
-    elif spec.kind is FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW:
+    elif kind is FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW:
         design = np.column_stack([ones, f.T])
         target = (probs ** (a - 1.0) - q ** (a - 1.0)) / (1.0 - a)
-    elif spec.kind is FamilyKind.ALPHA_POWER_LAW:
+    elif kind is FamilyKind.ALPHA_POWER_LAW:
         design = np.column_stack([probs ** (a - 1.0), -(1.0 - a) * f.T])
         target = q ** (a - 1.0)
     else:  # ALPHA_EXPONENTIAL

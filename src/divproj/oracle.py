@@ -5,6 +5,11 @@ Simplex grids are generated as integer compositions of a resolution d
 to floats once.  Reverse grids sweep a box of parameters.  Both oracles are
 exhaustive argmins with a deterministic first-lowest tie-break, so a
 parallel evaluation would have to reduce in grid order to match.
+
+The oracles evaluate no formula of their own: grid rows go through the same
+row kernels as the scalar calls (``divergence_rows`` for the divergences,
+``eval_members_batch`` for family members, ``likelihood_rows`` for the
+matched likelihoods), so brute force and solvers cannot drift apart.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergences import DivergenceKind, divergence_fixed_p, divergence_rows
-from .errors import EmptyFeasibleGrid, NoAdmissibleTheta
-from .estimators import EstimatorKind
+from .errors import CertificateMismatch, EmptyFeasibleGrid, NoAdmissibleTheta
+from .estimators import EstimatorKind, likelihood_rows
 from .families import FamilySpec, LinearFamilySpec, eval_members_batch
 from .measures import Distribution, SampleData
 
@@ -38,7 +43,9 @@ class SimplexGrid:
 
         return comb(self.resolution + self.m - 1, self.m - 1)
 
-    def points(self) -> np.ndarray:
+    def counts(self) -> np.ndarray:
+        """Every composition of ``resolution`` into m nonnegative parts, in
+        lexicographic order of the m-1 stars-and-bars cut positions."""
         d, m = self.resolution, self.m
         combos = itertools.combinations(range(d + m - 1), m - 1)
         counts = np.empty((self.point_count(), m), dtype=np.int64)
@@ -48,7 +55,11 @@ class SimplexGrid:
                 counts[row, col] = c - prev - 1
                 prev = c
             counts[row, m - 1] = d + m - 2 - prev
-        points = counts / float(d)
+        return counts
+
+    def points(self) -> np.ndarray:
+        counts = self.counts()
+        points = counts / float(self.resolution)
         if self.interior_only:
             points = points[np.all(counts > 0, axis=1)]
         return points
@@ -114,28 +125,6 @@ MATCHED_DIVERGENCE = {
 _LIKELIHOOD_OF_DIVERGENCE = {v: k for k, v in MATCHED_DIVERGENCE.items()}
 
 
-def _likelihood_rows(kind: EstimatorKind, probs: np.ndarray, ph: np.ndarray, alpha: float) -> np.ndarray:
-    """The matched likelihood over many member rows (admissible rows only)."""
-    if kind is EstimatorKind.MLE or alpha == 1.0:
-        return np.sum(ph[None, :] * np.log(probs), axis=1)
-    if kind is EstimatorKind.HELLINGER:
-        with np.errstate(divide="ignore"):
-            s = np.sum(
-                np.where(ph[None, :] > 0.0, ph[None, :] ** alpha * probs ** (1.0 - alpha), 0.0),
-                axis=1,
-            )
-        return np.log(s) / (1.0 - alpha)
-    if kind is EstimatorKind.BASU:
-        mean_pow = np.sum(ph[None, :] * probs ** (alpha - 1.0), axis=1)
-        return (
-            alpha / (alpha - 1.0) * mean_pow
-            - 1.0 / (alpha - 1.0)
-            - np.sum(probs**alpha, axis=1)
-        )
-    mean_pow = np.sum(ph[None, :] * probs ** (alpha - 1.0), axis=1)
-    return alpha / (alpha - 1.0) * np.log(mean_pow) - np.log(np.sum(probs**alpha, axis=1))
-
-
 def grid_reverse_min(
     kind: DivergenceKind,
     alpha: float,
@@ -145,8 +134,9 @@ def grid_reverse_min(
 ):
     """Exhaustive reverse-projection argmin over an admissible parameter grid.
 
-    Cross-asserts that the matched likelihood attains its grid maximum at
-    the same point before returning ``(theta_best, value)``.
+    Cross-checks that the matched likelihood attains its grid maximum at
+    the same point before returning ``(theta_best, value)``; raises
+    ``CertificateMismatch`` carrying both grid points otherwise.
     """
     kind = DivergenceKind(kind)
     thetas = theta_grid.points()
@@ -157,10 +147,11 @@ def grid_reverse_min(
     ph = sample.empirical.probs
     values = divergence_fixed_p(kind, ph, probs, alpha)
     best = int(np.argmin(values))
-    lik = _likelihood_rows(_LIKELIHOOD_OF_DIVERGENCE[kind], probs, ph, alpha)
+    lik = likelihood_rows(_LIKELIHOOD_OF_DIVERGENCE[kind], probs, ph, alpha)
     best_lik = int(np.argmax(lik))
     if best_lik != best:
-        raise AssertionError(
-            "matched likelihood argmax and divergence argmin disagree on the grid"
+        raise CertificateMismatch(
+            "matched likelihood argmax and divergence argmin disagree on the grid",
+            values=(thetas[best], thetas[best_lik]),
         )
     return thetas[best], float(values[best])

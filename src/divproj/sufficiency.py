@@ -18,15 +18,15 @@ constant and share the same maximizer.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptySampleError
-from .estimators import EstimatorKind, likelihood
-from .families import FamilyKind, FamilySpec, member_with_normalizer
+from .errors import CertificateMismatch, DomainError, EmptySampleError
+from .estimators import EstimatorKind, likelihood_rows
+from .families import FamilyKind, FamilySpec, eval_members_batch, member_with_normalizer
 from .measures import Distribution, SampleData, check_alpha
+from .oracle import SimplexGrid
 
 MATCHED_LIKELIHOOD = {
     FamilyKind.EXPONENTIAL: EstimatorKind.MLE,
@@ -86,39 +86,21 @@ def likelihood_split(spec: FamilySpec, theta, sample: SampleData) -> tuple[float
     """
     a = spec.alpha
     ph = sample.empirical.probs
-    f = spec.f
-    fbar = f @ ph
+    stat = sufficient_statistic(spec.kind, sample, spec.q, spec.f, a).value
     p, z = member_with_normalizer(spec, theta)
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    tilt = float(np.atleast_1d(np.asarray(theta, dtype=float)) @ stat)
+    qbar = float(ph @ spec.q.probs ** (a - 1.0))
     if spec.kind is FamilyKind.EXPONENTIAL:
-        h = float(ph @ np.log(spec.q.probs))
-        g = -np.log(z) + float(theta @ fbar)
-        return g, h
+        return float(-np.log(z) + tilt), float(ph @ np.log(spec.q.probs))
     if spec.kind is FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW:
-        qbar = float(ph @ spec.q.probs ** (a - 1.0))
-        h = a / (a - 1.0) * qbar
-        g = -(a * z + 1.0 / (a - 1.0) + a * float(theta @ fbar) + float(np.sum(p.probs**a)))
-        return g, h
+        g = -(a * z + 1.0 / (a - 1.0) + a * tilt + float(np.sum(p.probs**a)))
+        return g, a / (a - 1.0) * qbar
     if spec.kind is FamilyKind.ALPHA_POWER_LAW:
-        qbar = float(ph @ spec.q.probs ** (a - 1.0))
-        h = a / (a - 1.0) * np.log(qbar)
-        g = (
-            -a * np.log(z)
-            + a / (a - 1.0) * np.log1p((1.0 - a) * float(theta @ fbar) / qbar)
-            - np.log(float(np.sum(p.probs**a)))
-        )
-        return float(g), float(h)
-    # alpha-exponential
-    w = ph**a
-    w_sum = float(w.sum())
-    w = w / w_sum
-    t4_num = f @ w
-    t4_den = float(w @ spec.q.probs ** (1.0 - a))
-    with np.errstate(divide="ignore"):
-        cross = float(np.sum(np.where(ph > 0.0, ph**a * spec.q.probs ** (1.0 - a), 0.0)))
-    h = np.log(cross) / (1.0 - a)
-    g = -np.log(z) + np.log1p((1.0 - a) * float(theta @ t4_num) / t4_den) / (1.0 - a)
-    return float(g), float(h)
+        g = -a * np.log(z) + a / (a - 1.0) * np.log1p((1.0 - a) * tilt) - np.log(np.sum(p.probs**a))
+        return float(g), float(a / (a - 1.0) * np.log(qbar))
+    # alpha-exponential: h is the Hellinger likelihood of the reference itself
+    h = likelihood_rows(EstimatorKind.HELLINGER, spec.q.probs, ph, a)
+    return float(-np.log(z) + np.log1p((1.0 - a) * tilt) / (1.0 - a)), float(h)
 
 
 @dataclass(frozen=True)
@@ -147,8 +129,6 @@ def factorization_check(
     grid argmax; reports the maximum deviation of the difference from its
     mean.
     """
-    from .families import is_admissible
-
     kind = MATCHED_LIKELIHOOD[spec.kind]
     t_a = sufficient_statistic(spec.kind, sample_a, spec.q, spec.f, spec.alpha).value
     t_b = sufficient_statistic(spec.kind, sample_b, spec.q, spec.f, spec.alpha).value
@@ -156,15 +136,21 @@ def factorization_check(
     grid = np.asarray(theta_grid, dtype=float)
     if grid.ndim == 1:
         grid = grid[:, None]
-    grid = np.asarray([th for th in grid if is_admissible(spec, th)])
-    if len(grid) == 0:
+    probs, ok = eval_members_batch(spec, grid)
+    if not np.any(ok):
         raise DomainError("no admissible grid point")
-    vals_a = np.array([likelihood(kind, spec, th, sample_a) for th in grid])
-    vals_b = np.array([likelihood(kind, spec, th, sample_b) for th in grid])
+    grid, probs = grid[ok], probs[ok]
+    vals_a = likelihood_rows(kind, probs, sample_a.empirical.probs, spec.alpha)
+    vals_b = likelihood_rows(kind, probs, sample_b.empirical.probs, spec.alpha)
     diff = vals_a - vals_b
     deviation = float(np.max(np.abs(diff - diff.mean())))
     ia, ib = int(np.argmax(vals_a)), int(np.argmax(vals_b))
-    report = FactorizationReport(
+    if t_equal and deviation > const_tol:
+        raise CertificateMismatch(
+            f"equal-T samples produced a non-constant likelihood difference ({deviation:.3e})",
+            values=(float(diff.min()), float(diff.max())),
+        )
+    return FactorizationReport(
         t_a=t_a,
         t_b=t_b,
         t_equal=t_equal,
@@ -173,11 +159,6 @@ def factorization_check(
         argmax_b=grid[ib],
         argmax_equal=bool(ia == ib),
     )
-    if t_equal and deviation > const_tol:
-        raise AssertionError(
-            f"equal-T samples produced a non-constant likelihood difference ({deviation:.3e})"
-        )
-    return report
 
 
 def equal_statistic_pairs(
@@ -197,29 +178,15 @@ def equal_statistic_pairs(
     different count vectors (not mere permutations) are kept.  Intended for
     n <= 12 at desk scale.
     """
-    if n > 60:
-        raise DomainError("exhaustive search is meant for small n")
-    m = q.m
+    if not 1 <= n <= 60:
+        raise DomainError("exhaustive search is meant for 1 <= n <= 60")
     found = []
-    combos = list(itertools.combinations(range(n + m - 1), m - 1))
-    counts_list = []
-    for cuts in combos:
-        prev = -1
-        counts = []
-        for c in cuts:
-            counts.append(c - prev - 1)
-            prev = c
-        counts.append(n + m - 2 - prev)
-        counts_list.append(tuple(counts))
     stats = []
     samples = []
-    for counts in counts_list:
-        if all(c == 0 for c in counts):
-            continue
+    for counts in SimplexGrid(q.m, n).counts():
         sample = SampleData.from_counts(counts, q.alphabet)
-        t = sufficient_statistic(model_kind, sample, q, f, alpha).value
-        stats.append(t)
-        samples.append((counts, sample))
+        stats.append(sufficient_statistic(model_kind, sample, q, f, alpha).value)
+        samples.append((tuple(counts), sample))
     for i in range(len(samples)):
         for j in range(i + 1, len(samples)):
             if require_distinct_counts and samples[i][0] == samples[j][0]:

@@ -7,6 +7,8 @@ from divproj.divergences import (
     DivergenceKind,
     density_power,
     divergence,
+    divergence_fixed_p,
+    divergence_rows,
     kl,
     rel_alpha_entropy,
     renyi_d,
@@ -178,3 +180,31 @@ class TestAxioms:
         p = normalize(wp)
         q = normalize(wq)
         assert divergence(kind, p, q, alpha) >= -1e-12
+
+
+class TestRowForms:
+    """The oracle's row forms are the scalar divergences, row by row."""
+
+    def check(self, kind, fixed, rows, alpha):
+        forward = divergence_rows(kind, np.stack([r.probs for r in rows]), fixed.probs, alpha)
+        reverse = divergence_fixed_p(kind, fixed.probs, np.stack([r.probs for r in rows]), alpha)
+        for i, r in enumerate(rows):
+            for got, want in ((forward[i], divergence(kind, r, fixed, alpha)),
+                              (reverse[i], divergence(kind, fixed, r, alpha))):
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("alpha", ALPHAS + [1.0, 5.0])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_rows_match_scalar_in_both_orders(self, kind, alpha):
+        rng = rng_of(int(alpha * 100) + len(kind.value))
+        for m in (2, 3, 5):
+            fixed = random_distribution(rng, m)
+            self.check(kind, fixed, [random_distribution(rng, m) for _ in range(6)], alpha)
+
+    def test_skewed_renyi_pair_does_not_overflow(self):
+        # without a max-shift the power sum overflows to inf at alpha = 3
+        p = normalize([1e-280, 1.0])
+        q = normalize([1.0, 1e-280])
+        self.check(DivergenceKind.RENYI, p, [q], 3.0)
+        self.check(DivergenceKind.RENYI, q, [p], 3.0)
+        assert renyi_d(p, q, 3.0) == pytest.approx(644.7238260383328, rel=1e-12)

@@ -218,6 +218,20 @@ class TestSpecValidation:
         with pytest.raises(InvalidDistribution):
             FamilySpec(FamilyKind.ALPHA_POWER_LAW, q, f, alpha=2.0)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_statistic_absorbed_by_normalization_rejected(self, kind):
+        # Z absorbs a constant tilt (exponential, non-normalized kinds) or a
+        # multiple of the reference bracket (the other two), so theta could
+        # not be identified
+        q = Distribution(Alphabet.of_size(3), [0.2, 0.3, 0.5])
+        absorbed = {
+            FamilyKind.ALPHA_POWER_LAW: q.probs,
+            FamilyKind.ALPHA_EXPONENTIAL: q.probs ** -1.0,
+        }.get(kind, np.ones(3))
+        f = np.vstack([[0.0, 1.0, -1.0], 2.0 * absorbed + np.array([0.0, 1.0, -1.0])])
+        with pytest.raises(InvalidDistribution, match="identifiable"):
+            FamilySpec(kind, q, f, alpha=2.0)
+
     def test_non_strict_reference_rejected(self):
         q = Distribution(AB, [0.0, 1.0], strict=False)
         with pytest.raises(InvalidDistribution):
@@ -225,10 +239,26 @@ class TestSpecValidation:
 
 
 class TestBatchEval:
+    # the member at theta = -0.44 has min probability 0.0079: its normalizer
+    # sits close to the edge of the admissible interval
+    NEAR_EDGE = FamilySpec(
+        FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW,
+        Distribution(AB, [0.09, 0.91]),
+        np.array([[-0.14, -1.08]]),
+        alpha=5.0,
+    )
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_batch_matches_scalar(self, kind, rng):
-        spec = random_family(rng, kind, m=3, k=1, alpha=2.0, f_scale=0.5)
-        thetas = np.linspace(-0.6, 0.6, 41)[:, None]
+        for alpha in (2.0, 0.5, 5.0):
+            spec = random_family(rng, kind, m=3, k=1, alpha=alpha, f_scale=0.5)
+            self.check_batch_matches_scalar(spec, np.linspace(-0.6, 0.6, 41)[:, None])
+
+    def test_near_edge_normalizer(self):
+        self.check_batch_matches_scalar(self.NEAR_EDGE, np.array([[-0.44], [-0.45], [-0.43]]))
+        assert is_admissible(self.NEAR_EDGE, [-0.44])
+
+    def check_batch_matches_scalar(self, spec, thetas):
         probs, ok = eval_members_batch(spec, thetas)
         for i, theta in enumerate(thetas):
             if is_admissible(spec, theta):

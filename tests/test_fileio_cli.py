@@ -124,6 +124,13 @@ class TestConfig:
         with pytest.raises(InputError):
             load_config(str(path))
 
+    @pytest.mark.parametrize("key", ["threads", "equivalence_tol"])
+    def test_keys_nothing_read_are_gone(self, tmp_path, key):
+        path = tmp_path / "old.cfg"
+        path.write_text(f"{key} = 1\n")
+        with pytest.raises(InputError, match="unknown config key"):
+            load_config(str(path))
+
     def test_invalid_values_rejected(self):
         with pytest.raises(InputError):
             RunConfig(residual_tol=-1.0)
@@ -163,9 +170,31 @@ class TestCLI:
         assert report["error"] == "NoConvergence"
 
     def test_input_error_exit_two(self, capsys, files):
-        code, _, err = self.run(capsys, "divergence", "--kind", "kl", "--p", "/missing.json", "--q", files["q"])
+        code, out, err = self.run(capsys, "divergence", "--kind", "kl", "--p", "/missing.json", "--q", files["q"])
         assert code == 2
         assert "not found" in err
+        assert json.loads(out)["error"] == "InputError"
+
+    def test_unidentifiable_statistic_exit_two(self, capsys, files, tmp_path):
+        # Z absorbs a constant statistic, so no theta_best could mean anything
+        fam = tmp_path / "const.json"
+        fam.write_text(json.dumps(
+            {"kind": "exponential", "q": [0.3, 0.3, 0.4], "f": [[1, 1, 1]], "alphabet": ["a", "b", "c"]}
+        ))
+        smp = tmp_path / "smp3.json"
+        smp.write_text(json.dumps({"alphabet": ["a", "b", "c"], "observations": ["a", "b", "c", "c"]}))
+        code, out, _ = self.run(
+            capsys, "oracle", "reverse", "--kind", "kl", "--family", str(fam), "--sample", str(smp), "--box=-2:2:201"
+        )
+        assert code == 2
+        report = json.loads(out)
+        assert report["error"] == "InvalidDistribution"
+        assert "identifiable" in report["message"]
+
+    def test_threads_flag_is_gone(self, files):
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", "2", "divergence", "--kind", "kl", "--p", files["p"], "--q", files["p"]])
+        assert exc.value.code == 2
 
     def test_unknown_subcommand_exit_two(self, files):
         with pytest.raises(SystemExit) as exc:
@@ -188,6 +217,17 @@ class TestCLI:
         report = json.loads(out)
         assert report["in_family"] is True
         assert report["moment_residual"] <= 1e-8
+
+    def test_project_reverse_reads_membership_tol(self, capsys, files, tmp_path):
+        cfg = tmp_path / "strict.cfg"
+        cfg.write_text("membership_tol = 1e-30\n")
+        code, out, _ = self.run(
+            capsys, "--config", str(cfg), "project", "reverse", "--family", files["nn"], "--sample", files["smp"]
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["in_family"] is False
+        assert report["membership_residual"] > 1e-30
 
     def test_verify_pythagoras(self, capsys, files):
         code, out, _ = self.run(

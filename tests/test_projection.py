@@ -71,6 +71,21 @@ class TestProjectionResidual:
         assert np.max(np.abs(r)) <= 1e-8
 
 
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 3.0])
+    def test_renyi_escort_form_equals_plain_form(self, alpha):
+        # reference: the plain alpha-power-sum form, divided by sum P^a
+        rng = rng_of(4)
+        for _ in range(10):
+            spec = random_family(rng, FamilyKind.ALPHA_EXPONENTIAL, m=4, k=2, alpha=alpha, f_scale=0.6)
+            theta = random_admissible_theta(rng, spec, scale=0.2)
+            sample = sample_from(spec, theta, 40, rng)
+            pv, ph, f = eval_member(spec, theta).probs, sample.empirical.probs, spec.f
+            pa, pha, q1a = pv**alpha, ph**alpha, spec.q.probs ** (1.0 - alpha)
+            plain = f @ pa - (float(pa @ q1a) / float(pha @ q1a)) * (f @ pha)
+            got = projection_residual(DivergenceKind.RENYI, spec, theta, sample)
+            assert np.max(np.abs(plain / pa.sum() - got)) <= 1e-12
+
+
 class TestSolveProjectionEquation:
     def test_kl_bernoulli_logit(self):
         spec = FamilySpec(FamilyKind.EXPONENTIAL, Distribution(AB, [0.5, 0.5]), np.array([[0.0, 1.0]]))
@@ -161,6 +176,16 @@ class TestForwardProjection:
         res = forward_dpd_projection(Q3_UNIFORM, lin, 0.5)
         assert res.p_star.probs[0] == 0.0
         assert np.all(res.p_star.probs[1:] > 0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    def test_constraint_rows_spanning_the_constant(self, alpha):
+        # f_0 + f_1 = 1: one constraint repeats the normalization, so the
+        # shape's (theta, Z) split is not unique but its fit still is exact
+        lin = LinearFamilySpec(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), np.array([0.6, 0.4]), alphabet=A3)
+        q = Distribution(A3, [0.2, 0.3, 0.5])
+        res = forward_dpd_projection(q, lin, alpha)
+        _, _, residual, clamp_ok = fit_projection_form(res.p_star, q, lin, alpha)
+        assert residual <= 1e-10 and clamp_ok
 
 
 class TestPythagorean:
@@ -300,6 +325,23 @@ class TestMomentMap:
         expected = (spec.f @ spec.q.probs) * float(ph @ qa) / float(np.sum(spec.q.probs**a))
         got = power_law_moment_map(spec, np.zeros(spec.theta_dim), sample)
         assert np.max(np.abs(got - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    def test_power_form_equals_quotient_form(self, alpha):
+        # reference: the reference-bracket quotient form of the moment map
+        spec, sample, rng = self.make_instance(seed=15, m=4, k=2, alpha=alpha)
+        ph, f = sample.empirical.probs, spec.f
+        qa = spec.q.probs ** (alpha - 1.0)
+        for _ in range(10):
+            theta = random_admissible_theta(rng, spec, scale=0.25)
+            pv = eval_member(spec, theta).probs
+            quotient = (
+                (f @ pv)
+                * (float(ph @ qa) + (1.0 - alpha) * float(theta @ (f @ ph)))
+                / float(pv @ (qa + (1.0 - alpha) * (theta @ f)))
+            )
+            got = power_law_moment_map(spec, theta, sample)
+            assert np.max(np.abs(quotient - got)) <= 1e-12 * max(1.0, float(np.max(np.abs(got))))
 
     def test_injective_spot_check(self):
         spec, sample, _ = self.make_instance(seed=10)

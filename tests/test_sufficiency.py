@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from divproj.errors import CertificateMismatch, NumericFailure
 from divproj.estimators import EstimatorKind, likelihood, maximize_likelihood, solve_estimating_equation
 from divproj.families import FamilyKind, FamilySpec
 from divproj.measures import Alphabet, Distribution, SampleData
@@ -120,6 +121,18 @@ class TestFactorization:
         report = factorization_check(spec, sample_a, sample_b, np.linspace(-0.4, 0.4, 101))
         assert report.t_equal and report.argmax_equal
         assert report.max_deviation_from_constant <= 1e-9
+
+    def test_forced_equal_t_mismatch_is_a_numeric_failure(self):
+        # t_tol = 1e9 declares unequal statistics equal; the likelihood
+        # difference then fails the constancy certificate
+        spec = _bernoulli_like_exponential()
+        sample_a = SampleData.from_counts([3, 4, 3], A3)
+        sample_b = SampleData.from_counts([1, 2, 7], A3)
+        with pytest.raises(CertificateMismatch) as err:
+            factorization_check(spec, sample_a, sample_b, np.linspace(-1, 1, 41), t_tol=1e9)
+        assert isinstance(err.value, NumericFailure)
+        low, high = err.value.values
+        assert high - low > 1e-9
 
     def test_estimates_depend_on_sample_only_through_t(self):
         spec = _bernoulli_like_exponential()
