@@ -20,6 +20,10 @@ power once, which keeps domain checks exact.
 Members are evaluated by one kernel over rows of parameters (the grid
 oracle's batches); ``member_with_normalizer`` and ``normalizer_root`` are its
 one-row cases, so scalar and batch calls agree on values and admissibility.
+
+The linear family {P : f P = a} solves its linear programs once, at
+construction, and caches the centre, margin and support face they give;
+scipy is imported on the first such LP, not with this module.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     DomainError,
@@ -418,10 +421,59 @@ def theta_of_member(spec: FamilySpec, p: Distribution, tol: float = 1e-8) -> np.
 
 # --- linear families ----------------------------------------------------------
 
+SUPPORT_TOL = 1e-12  # least mass a symbol of the support face can carry
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first call: only linear
+    families pay for importing scipy."""
+    from scipy.optimize import linprog as _linprog
+
+    return _linprog(*args, **kwargs)
+
+
+def _max_min_member(f: np.ndarray, a: np.ndarray, columns: np.ndarray):
+    """The LP max t s.t. f P = a, sum P = 1, P >= t on ``columns``, P = 0
+    elsewhere: the member whose smallest coordinate on ``columns`` is largest.
+
+    Returns ``(P, t)``, or None when no member is supported on ``columns``.
+    """
+    k, m = f.shape
+    sub = np.ascontiguousarray(f[:, columns])  # C order, as f itself: same BLAS path
+    s = sub.shape[1]
+    c = np.zeros(s + 1)
+    c[s] = -1.0
+    A_eq = np.hstack([np.vstack([sub, np.ones((1, s))]), np.zeros((k + 1, 1))])
+    b_eq = np.concatenate([a, [1.0]])
+    A_ub = np.hstack([-np.eye(s), np.ones((s, 1))])
+    res = linprog(
+        c,
+        A_eq=A_eq,
+        b_eq=b_eq,
+        A_ub=A_ub,
+        b_ub=np.zeros(s),
+        bounds=[(0.0, 1.0)] * s + [(0.0, 1.0)],
+        method="highs",
+    )
+    if res.status != 0:
+        return None
+    probs = np.zeros(m)
+    probs[columns] = res.x[:s]
+    return probs, float(res.x[s])
+
 
 @dataclass(frozen=True)
 class LinearFamilySpec:
-    """Distributions satisfying the moment constraints f P = a."""
+    """Distributions satisfying the moment constraints f P = a.
+
+    Construction solves the max-min-coordinate LP once: its status decides
+    feasibility, and a positive margin means every symbol carries mass on
+    some member.  A zero margin means the family lies on a boundary face of
+    the simplex; construction then finds the face (one LP per symbol the
+    max-min point leaves empty) and the max-min point of the face.  The
+    centre, margin and support face are cached on the instance, so
+    ``support_mask``, ``interior_member`` and ``sample_member`` solve no LP.
+    """
 
     f: np.ndarray  # (k, m)
     a: np.ndarray  # (k,)
@@ -444,8 +496,31 @@ class LinearFamilySpec:
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "alphabet", alphabet)
-        if not self._feasible():
+        solved = _max_min_member(f, a, np.ones(self.m, dtype=bool))
+        if solved is None:
             raise InfeasibleError("linear family is empty on the simplex")
+        center, margin = solved
+        support = np.ones(self.m, dtype=bool)
+        if margin <= SUPPORT_TOL:
+            # boundary face: a symbol the max-min point leaves empty is on
+            # the face iff some member puts mass on it
+            A_eq = np.vstack([f, np.ones((1, self.m))])
+            b_eq = np.concatenate([a, [1.0]])
+            for i in np.flatnonzero(center <= SUPPORT_TOL):
+                c = np.zeros(self.m)
+                c[i] = -1.0  # maximize P(x_i)
+                res = linprog(c=c, A_eq=A_eq, b_eq=b_eq, bounds=[(0.0, None)] * self.m, method="highs")
+                support[i] = bool(res.status == 0 and -res.fun > SUPPORT_TOL)
+        if not support.all():
+            solved = _max_min_member(f, a, support)
+            if solved is None:
+                raise InfeasibleError("linear family has no member on its support face")
+            center, margin = solved
+        for arr in (center, support):
+            arr.setflags(write=False)
+        object.__setattr__(self, "_center", center)
+        object.__setattr__(self, "_margin", margin)  # on the support face
+        object.__setattr__(self, "_support", support)
 
     @property
     def k(self) -> int:
@@ -455,72 +530,45 @@ class LinearFamilySpec:
     def m(self) -> int:
         return int(self.f.shape[1])
 
-    def _feasible(self) -> bool:
-        res = linprog(
-            c=np.zeros(self.m),
-            A_eq=np.vstack([self.f, np.ones((1, self.m))]),
-            b_eq=np.concatenate([self.a, [1.0]]),
-            bounds=[(0.0, None)] * self.m,
-            method="highs",
-        )
-        return bool(res.status == 0)
-
     def support_mask(self) -> np.ndarray:
         """Symbols that carry positive mass for at least one member."""
-        mask = np.zeros(self.m, dtype=bool)
-        A_eq = np.vstack([self.f, np.ones((1, self.m))])
-        b_eq = np.concatenate([self.a, [1.0]])
-        for i in range(self.m):
-            c = np.zeros(self.m)
-            c[i] = -1.0  # maximize P(x_i)
-            res = linprog(c=c, A_eq=A_eq, b_eq=b_eq, bounds=[(0.0, None)] * self.m, method="highs")
-            mask[i] = bool(res.status == 0 and -res.fun > 1e-12)
-        return mask
+        return self._support.copy()
 
     def contains(self, p: Distribution, tol: float = 1e-10) -> bool:
         return bool(np.max(np.abs(self.f @ p.probs - self.a)) <= tol)
 
-    def affine_project(self, vector: np.ndarray) -> np.ndarray:
-        """Euclidean projection of a vector onto {f x = a, sum x = 1}."""
-        B = np.vstack([self.f, np.ones((1, self.m))])
+    def affine_project(self, vector: np.ndarray, support: np.ndarray | None = None) -> np.ndarray:
+        """Euclidean projection of a vector onto {f x = a, sum x = 1}; with
+        ``support``, of a vector over those symbols onto the family's
+        constraints restricted to them (the other entries held at 0)."""
+        f = self.f if support is None else np.ascontiguousarray(self.f[:, support])
+        B = np.vstack([f, np.ones((1, f.shape[1]))])
         b = np.concatenate([self.a, [1.0]])
         resid = B @ vector - b
         correction = B.T @ np.linalg.lstsq(B @ B.T, resid, rcond=None)[0]
         return vector - correction
 
     def interior_member(self) -> tuple[np.ndarray, float]:
-        """The max-min-coordinate member and its margin (0 on boundary slices)."""
-        m = self.m
-        c = np.zeros(m + 1)
-        c[m] = -1.0
-        A_eq = np.hstack([np.vstack([self.f, np.ones((1, m))]), np.zeros((self.k + 1, 1))])
-        b_eq = np.concatenate([self.a, [1.0]])
-        A_ub = np.hstack([-np.eye(m), np.ones((m, 1))])
-        res = linprog(
-            c,
-            A_eq=A_eq,
-            b_eq=b_eq,
-            A_ub=A_ub,
-            b_ub=np.zeros(m),
-            bounds=[(0.0, 1.0)] * m + [(0.0, 1.0)],
-            method="highs",
-        )
-        if res.status != 0:
-            raise InfeasibleError("linear family became infeasible")
-        return res.x[:m], float(res.x[m])
+        """The max-min-coordinate member and its margin (0 on boundary faces,
+        where the member is the max-min point of the support face)."""
+        return self._center.copy(), self._margin if self._support.all() else 0.0
 
     def sample_member(self, rng: np.random.Generator, max_tries: int = 50) -> Distribution:
-        """A random member, strictly positive whenever the slice has one;
-        random directions are blended toward the deepest interior point."""
-        center, margin = self.interior_member()
-        floor = min(1e-9, 0.05 * margin) if margin > 0 else 0.0
+        """A random member, positive on the whole support face and exactly 0
+        off it; random directions on the face are blended toward its max-min
+        point."""
+        face = self._support
+        center = self._center[face]
+        floor = min(1e-9, 0.05 * self._margin)
         for _ in range(max_tries):
-            raw = rng.dirichlet(np.ones(self.m))
-            proj = self.affine_project(raw)
+            raw = rng.dirichlet(np.ones(center.size))
+            proj = self.affine_project(raw, face)
             lam = 1.0
             for _ in range(40):
                 point = lam * proj + (1.0 - lam) * center
                 if np.all(point > floor):
-                    return Distribution(self.alphabet, point, strict=bool(np.all(point > 0)))
+                    probs = np.zeros(self.m)
+                    probs[face] = point
+                    return Distribution(self.alphabet, probs, strict=bool(face.all()))
                 lam *= 0.7
         raise InfeasibleError("could not sample an interior member")

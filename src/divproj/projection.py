@@ -17,6 +17,11 @@ multipliers of the simplex program are reconstructed from (theta, Z) as
 
 which makes stationarity, dual feasibility and complementary slackness
 directly checkable.
+
+The support of L is read from the linear family, which computed it when it
+was built, so a projection solves no LP.  Only when Newton and the active
+set both fail does an SLSQP fallback run; scipy is imported on that first
+call, not with this module.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .divergences import DivergenceKind, density_power
 from .errors import DomainError, InfeasibleError, NoConvergence
@@ -41,6 +45,17 @@ from .measures import Distribution, SampleData, check_alpha, empirical_weights
 from .solvers import MAX_ITER, RESIDUAL_TOL, Route, SolveReport, solve_residual
 
 MEMBERSHIP_TOL = 1e-8  # family-vs-closure decision threshold
+NEWTON_STOP_TOL = 1e-13  # (theta, Z) Newton stops at this max-abs residual
+NEWTON_ACCEPT_TOL = 1e-10  # ... and accepts a stalled iterate within this one
+SLSQP_PRECISION_LIMIT = 8  # SLSQP's "positive directional derivative" exit
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first call: only the SLSQP
+    fallback pays for importing scipy."""
+    from scipy.optimize import minimize as _minimize
+
+    return _minimize(*args, **kwargs)
 
 
 # --- projection-equation residuals -------------------------------------------
@@ -126,6 +141,10 @@ def _parametric_solve(q, f, a_vec, alpha, support, init=None, want_best=False):
 
     Solves sum_{x in support} P(x) = 1 and f P = a with
     P(x) = bracket(x)^(1/(alpha-1)) on the support, 0 elsewhere.
+    Newton stops at residual NEWTON_STOP_TOL.  Near a coordinate of order
+    1e-5 the residual's rounding floor is about 1e-12, so a run that stalls
+    there (the line search finds no decrease) still counts as converged when
+    its residual is within NEWTON_ACCEPT_TOL.
     Returns (theta, z, probs) or None when Newton fails; with ``want_best``
     the best iterate is returned as (theta, z, probs, converged) so callers
     can read deactivation hints off an unconverged run.
@@ -168,8 +187,7 @@ def _parametric_solve(q, f, a_vec, alpha, support, init=None, want_best=False):
         return (None if not want_best else None)
     converged = False
     for _ in range(300):
-        norm = float(np.max(np.abs(r)))
-        if norm <= 1e-13:
+        if float(np.max(np.abs(r))) <= NEWTON_STOP_TOL:
             converged = True
             break
         jac = jacobian(xi)
@@ -190,6 +208,7 @@ def _parametric_solve(q, f, a_vec, alpha, support, init=None, want_best=False):
             t *= 0.5
         else:
             break
+    converged = converged or float(np.max(np.abs(r))) <= NEWTON_ACCEPT_TOL
     p_sub, _ = probs_of(xi)
     probs = np.zeros(m)
     probs[support] = p_sub
@@ -323,7 +342,9 @@ def _fallback_projection(qv, lin, alpha):
         constraints=cons,
         options={"maxiter": 500, "ftol": 1e-14},
     )
-    if not res.success:
+    # exit 8: the line search found no descent at SLSQP's precision limit;
+    # that point still seeds the refit, which certifies the answer
+    if not (res.success or res.status == SLSQP_PRECISION_LIMIT):
         raise NoConvergence(f"fallback projection failed: {res.message}")
     support = res.x > 1e-9
     # seed the parametric refit with a least-squares fit to the numeric point
@@ -353,14 +374,16 @@ def fit_projection_form(p_star: Distribution, q: Distribution, lin: LinearFamily
     """Independent least-squares refit of (theta, Z) to the projection shape.
 
     Returns ``(theta, z, residual, clamp_ok)``: the relative fit residual on
-    the support and whether all off-support brackets are non-positive (the
-    clamp condition; vacuous for full support).
+    the support and whether the brackets are non-positive on the symbols the
+    family's face carries but P* does not (the clamp condition; vacuous for
+    full support).  Symbols off the face are zero on every member, so no
+    sign condition applies to them.
     """
     support = p_star.probs > 0.0
     theta, z, residual = _shape_fit(q.probs, lin, alpha, p_star.probs, support)
     bracket = q.probs ** (alpha - 1.0) + (1.0 - alpha) * (z + theta @ lin.f)
-    clamp_ok = bool(np.all(bracket[~support] <= 1e-10)) if np.any(~support) else True
-    return theta, z, residual, clamp_ok
+    clamped = lin.support_mask() & ~support
+    return theta, z, residual, bool(np.all(bracket[clamped] <= 1e-10))
 
 
 # --- reverse projection via the forward route -------------------------------------

@@ -168,14 +168,13 @@ def equal_statistic_pairs(
     alpha: float,
     n: int,
     tol: float = 1e-10,
-    require_distinct_counts: bool = True,
     max_pairs: int = 20,
 ):
     """Exhaustively search count vectors of total n for equal-T sample pairs.
 
-    Returns a list of ``(sample_a, sample_b)`` whose sufficient statistics
-    agree within ``tol``; with ``require_distinct_counts`` only pairs with
-    different count vectors (not mere permutations) are kept.  Intended for
+    Returns a list of ``(sample_a, sample_b)`` with different count vectors
+    whose sufficient statistics agree within ``tol`` (each composition is
+    enumerated once, so no pair repeats a count vector).  Intended for
     n <= 12 at desk scale.
     """
     if not 1 <= n <= 60:
@@ -186,13 +185,11 @@ def equal_statistic_pairs(
     for counts in SimplexGrid(q.m, n).counts():
         sample = SampleData.from_counts(counts, q.alphabet)
         stats.append(sufficient_statistic(model_kind, sample, q, f, alpha).value)
-        samples.append((tuple(counts), sample))
+        samples.append(sample)
     for i in range(len(samples)):
         for j in range(i + 1, len(samples)):
-            if require_distinct_counts and samples[i][0] == samples[j][0]:
-                continue
             if np.max(np.abs(stats[i] - stats[j])) <= tol:
-                found.append((samples[i][1], samples[j][1]))
+                found.append((samples[i], samples[j]))
                 if len(found) >= max_pairs:
                     return found
     return found

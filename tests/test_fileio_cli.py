@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import divproj
 
 from divproj.cli import main, sample_generator
 from divproj.config import RunConfig, load_config, override
@@ -322,3 +327,28 @@ class TestSampleGenerator:
     def test_bad_rate_rejected(self):
         with pytest.raises(InputError):
             sample_generator(self.spec(), [0.0], 10, contamination=(1.5, "b"))
+
+
+SCIPY_PROBE = """
+import json
+import sys
+import divproj.cli
+after_import = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+code = divproj.cli.main(["divergence", "--kind", "kl", "--p", sys.argv[1], "--q", sys.argv[2]])
+after_run = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps([code, after_import, after_run]), file=sys.stderr)
+"""
+
+
+def test_import_and_divergence_leave_scipy_unloaded(files):
+    # scipy is imported only by the LP and SLSQP paths
+    src = os.path.dirname(os.path.dirname(os.path.abspath(divproj.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, files["p"], files["q"]],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, after_import, after_run = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert code == 0
+    assert after_import == [] and after_run == []

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import divproj.families
+import divproj.projection
 from divproj.divergences import DivergenceKind, density_power
 from divproj.errors import DomainError
 from divproj.estimators import EstimatorKind, solve_estimating_equation
@@ -186,6 +188,159 @@ class TestForwardProjection:
         res = forward_dpd_projection(q, lin, alpha)
         _, _, residual, clamp_ok = fit_projection_form(res.p_star, q, lin, alpha)
         assert residual <= 1e-10 and clamp_ok
+
+
+# alpha = 3 optima with one coordinate of order 1e-5, where the residual's
+# rounding floor (about 1e-12) sits above the 1e-13 Newton stop: the
+# warm-started full-support Newton stalls just short of it
+NEAR_ZERO_OPTIMA = [
+    (  # the mass of x0 at the optimum is 4.5e-6
+        [0.461662135515379, 0.2678452039824383, 0.2704926605021827],
+        [[-0.5119416765412541, -0.2948801305631379, 0.806821807104392]],
+        [0.6857985360387332],
+    ),
+    (  # the mass of x1 at the optimum is 1.4e-5
+        [0.1117078241688158, 0.2286472635747115, 0.06104103801293203, 0.5986038742435408],
+        [
+            [-0.5268117655781794, -0.47239554598256256, 0.5068212054343462, 0.4923861061263956],
+            [0.42077228740561934, -0.43597541420116454, 0.5700784752934457, -0.5548753484979],
+        ],
+        [0.192713643535993, -0.022520283498749002],
+    ),
+]
+
+
+class TestNearZeroOptimum:
+    @pytest.mark.parametrize("q, f, a", NEAR_ZERO_OPTIMA, ids=["m3", "m4k2"])
+    def test_full_support_optimum_with_tiny_coordinate(self, q, f, a):
+        q = Distribution(Alphabet.of_size(len(q)), q)
+        lin = LinearFamilySpec(np.array(f), np.array(a), alphabet=q.alphabet)
+        res = forward_dpd_projection(q, lin, 3.0)
+        assert np.all(res.p_star.probs > 0.0)
+        assert 1e-6 < res.p_star.probs.min() < 1e-4
+        assert lin.contains(res.p_star, tol=1e-9)
+        _, _, residual, clamp_ok = fit_projection_form(res.p_star, q, lin, 3.0)
+        assert residual <= 1e-8 and clamp_ok
+        rng = rng_of(3)
+        for _ in range(5):
+            gap = pythagorean_gap(lin.sample_member(rng), res.p_star, q, 3.0)
+            assert abs(gap) <= 1e-9
+
+
+class TestSlsqpFallback:
+    # alpha = 3: the full-support Newton from theta = 0 stalls against the
+    # bracket of x2, the active-set sweep clamps the wrong symbol, and only
+    # the SLSQP fallback finds the optimum, which clamps x3
+    Q = [0.6769154973788509, 0.18233672119268407, 0.06791262668497285, 0.07283515474349221]
+    F = [
+        [-0.36937307941137476, 0.7963216261657113, 0.049482819243600866, -0.47643136599793745],
+        [0.39493347458864303, -0.2614991007000006, 0.5524529855102739, -0.6858873593989162],
+    ]
+    A = [0.36302128229886227, 0.01799342065193138]
+
+    def test_precision_limited_exit_still_seeds_the_refit(self, monkeypatch):
+        # with single-threaded BLAS, SLSQP ends this instance with exit 8
+        # ("positive directional derivative") at the optimum
+        original = divproj.projection.minimize
+        calls = []
+
+        def precision_limited(*args, **kwargs):
+            res = original(*args, **kwargs)
+            calls.append(res.status)
+            res.success, res.status = False, 8
+            res.message = "Positive directional derivative for linesearch"
+            return res
+
+        monkeypatch.setattr(divproj.projection, "minimize", precision_limited)
+        q = Distribution(Alphabet.of_size(4), self.Q)
+        lin = LinearFamilySpec(np.array(self.F), np.array(self.A), alphabet=q.alphabet)
+        res = forward_dpd_projection(q, lin, 3.0)
+        assert len(calls) == 1
+        assert res.p_star.probs[3] == 0.0 and np.all(res.p_star.probs[:3] > 0.0)
+        assert lin.contains(res.p_star, tol=1e-9)
+        assert np.all(res.kkt_multipliers["mu"] >= -1e-12)
+        _, _, residual, clamp_ok = fit_projection_form(res.p_star, q, lin, 3.0)
+        assert residual <= 1e-8 and clamp_ok
+
+
+class TestBoundaryFaces:
+    """Families on a boundary face of the simplex: members are drawn on the
+    face, with exactly zero mass off it."""
+
+    def test_face_draws_keep_equality_below_one(self):
+        lin = LinearFamilySpec(np.array([[1.0, 0.0, 0.0]]), np.array([0.0]), alphabet=A3)
+        q = Distribution(A3, [0.2, 0.3, 0.5])
+        res = forward_dpd_projection(q, lin, 0.5)
+        rng = rng_of(11)
+        for _ in range(10):
+            member = lin.sample_member(rng)
+            assert member.probs[0] == 0.0 and np.all(member.probs[1:] > 0.0)
+            assert lin.contains(member, tol=1e-12)
+            assert abs(pythagorean_gap(member, res.p_star, q, 0.5)) <= 1e-9
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    def test_clamp_condition_ignores_symbols_off_the_face(self, alpha):
+        lin = LinearFamilySpec(np.array([[1.0, 0.0, 0.0]]), np.array([0.0]), alphabet=A3)
+        q = Distribution(A3, [0.2, 0.3, 0.5])
+        res = forward_dpd_projection(q, lin, alpha)
+        _, _, residual, clamp_ok = fit_projection_form(res.p_star, q, lin, alpha)
+        assert residual <= 1e-10 and clamp_ok
+
+    def test_single_vertex_face(self):
+        # P(a) - 2 P(b) = 1 leaves the one member (1, 0)
+        lin = LinearFamilySpec(np.array([[1.0, -2.0]]), np.array([1.0]), alphabet=AB)
+        q = Distribution(AB, [0.4, 0.6])
+        assert lin.support_mask().tolist() == [True, False]
+        res = forward_dpd_projection(q, lin, 0.5)
+        rng = rng_of(12)
+        for _ in range(10):
+            member = lin.sample_member(rng)
+            assert member.probs.tolist() == [1.0, 0.0]
+            assert pythagorean_gap(member, res.p_star, q, 0.5) == pytest.approx(0.0, abs=1e-12)
+
+    def test_centre_is_the_faces_max_min_point(self):
+        lin = LinearFamilySpec(np.array([[1.0, 0.0, 0.0]]), np.array([0.0]), alphabet=A3)
+        center, margin = lin.interior_member()
+        assert margin == 0.0
+        assert center[0] == 0.0
+        assert center[1:] == pytest.approx([0.5, 0.5], abs=1e-12)
+
+
+class TestLinearFamilyLPs:
+    """A linear family solves its LPs at construction and none afterwards."""
+
+    @pytest.fixture
+    def lp_calls(self, monkeypatch):
+        calls = []
+        original = divproj.families.linprog
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(divproj.families, "linprog", counting)
+        return calls
+
+    def test_full_support_family_solves_one_lp(self, lp_calls):
+        rng = rng_of(21)
+        lin, _ = random_linear_family(rng, m=4, k=2)
+        assert len(lp_calls) == 1
+        assert np.all(lin.support_mask())
+        for _ in range(20):
+            lin.sample_member(rng)
+        q = random_distribution(rng, 4)
+        for alpha in (0.5, 3.0):
+            forward_dpd_projection(q, lin, alpha)
+        assert len(lp_calls) == 1
+
+    def test_boundary_face_solves_no_lp_after_construction(self, lp_calls):
+        lin = LinearFamilySpec(np.array([[1.0, 0.0, 0.0]]), np.array([0.0]), alphabet=A3)
+        built = len(lp_calls)
+        assert built >= 2
+        lin.support_mask()
+        lin.sample_member(rng_of(22))
+        forward_dpd_projection(Q3_UNIFORM, lin, 0.5)
+        assert len(lp_calls) == built
 
 
 class TestPythagorean:

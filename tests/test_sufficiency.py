@@ -159,6 +159,15 @@ class TestEqualStatisticSearch:
         assert fbar_a == pytest.approx(fbar_b, abs=1e-12)
         assert not np.array_equal(sample_a.counts, sample_b.counts)
 
+    def test_pairs_have_distinct_counts_without_a_flag(self):
+        q = Distribution(A3, [0.3, 0.4, 0.3])
+        f = np.array([[0.0, 1.0, 2.0]])
+        pairs = equal_statistic_pairs(FamilyKind.EXPONENTIAL, q, f, 1.0, n=6, max_pairs=100)
+        assert pairs
+        assert all(not np.array_equal(a.counts, b.counts) for a, b in pairs)
+        with pytest.raises(TypeError):
+            equal_statistic_pairs(FamilyKind.EXPONENTIAL, q, f, 1.0, n=4, require_distinct_counts=False)
+
     def test_finds_escort_ties_for_uniform_reference(self):
         q = Distribution(A3, np.full(3, 1 / 3))
         pairs = equal_statistic_pairs(
