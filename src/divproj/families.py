@@ -471,8 +471,10 @@ class LinearFamilySpec:
     some member.  A zero margin means the family lies on a boundary face of
     the simplex; construction then finds the face (one LP per symbol the
     max-min point leaves empty) and the max-min point of the face.  The
-    centre, margin and support face are cached on the instance, so
-    ``support_mask``, ``interior_member`` and ``sample_member`` solve no LP.
+    centre, margin, support face and face certificate (the duals of the
+    per-symbol LPs) are cached on the instance, so ``support_mask``,
+    ``face_certificate``, ``interior_member`` and ``sample_member`` solve no
+    LP.
     """
 
     f: np.ndarray  # (k, m)
@@ -501,6 +503,7 @@ class LinearFamilySpec:
             raise InfeasibleError("linear family is empty on the simplex")
         center, margin = solved
         support = np.ones(self.m, dtype=bool)
+        certificate = np.zeros(self.k + 1)
         if margin <= SUPPORT_TOL:
             # boundary face: a symbol the max-min point leaves empty is on
             # the face iff some member puts mass on it
@@ -511,16 +514,20 @@ class LinearFamilySpec:
                 c[i] = -1.0  # maximize P(x_i)
                 res = linprog(c=c, A_eq=A_eq, b_eq=b_eq, bounds=[(0.0, None)] * self.m, method="highs")
                 support[i] = bool(res.status == 0 and -res.fun > SUPPORT_TOL)
+                if res.status == 0 and not support[i]:
+                    # the LP dual y has y.(a, 1) = 0 and (f; 1)^T y <= -e_i
+                    certificate -= res.eqlin.marginals
         if not support.all():
             solved = _max_min_member(f, a, support)
             if solved is None:
                 raise InfeasibleError("linear family has no member on its support face")
             center, margin = solved
-        for arr in (center, support):
+        for arr in (center, support, certificate):
             arr.setflags(write=False)
         object.__setattr__(self, "_center", center)
         object.__setattr__(self, "_margin", margin)  # on the support face
         object.__setattr__(self, "_support", support)
+        object.__setattr__(self, "_certificate", certificate)
 
     @property
     def k(self) -> int:
@@ -533,6 +540,12 @@ class LinearFamilySpec:
     def support_mask(self) -> np.ndarray:
         """Symbols that carry positive mass for at least one member."""
         return self._support.copy()
+
+    def face_certificate(self) -> np.ndarray:
+        """A (k+1)-vector c whose weights w = c.(f; 1) are 0 on the support
+        face and at least 1 off it (zero on full support): every member has
+        w.P = c.(a, 1) = 0, which is why the face excludes those symbols."""
+        return self._certificate.copy()
 
     def contains(self, p: Distribution, tol: float = 1e-10) -> bool:
         return bool(np.max(np.abs(self.f @ p.probs - self.a)) <= tol)

@@ -104,12 +104,3 @@ def save_sample(path, sample: SampleData) -> None:
         json.dump(payload, fh)
         fh.write("\n")
 
-
-def save_distribution(path, dist: Distribution) -> None:
-    payload = {
-        "alphabet": list(dist.alphabet.symbols),
-        "probs": [float(p) for p in dist.probs],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")

@@ -116,13 +116,6 @@ class Distribution:
     def is_strictly_positive(self) -> bool:
         return bool(np.all(self.probs > 0.0))
 
-    @classmethod
-    def from_probs(cls, probs, alphabet: Alphabet | None = None) -> "Distribution":
-        arr = _as_prob_array(probs)
-        if alphabet is None:
-            alphabet = Alphabet.of_size(len(arr))
-        return cls(alphabet, arr, strict=bool(np.all(arr > 0.0)))
-
 
 def same_alphabet(p: Distribution, q: Distribution) -> None:
     if p.alphabet.symbols != q.alphabet.symbols:

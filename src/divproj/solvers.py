@@ -34,7 +34,6 @@ class Route(enum.Enum):
     ESTIMATING_EQ = "estimating_equation"
     PROJECTION_EQ = "projection_equation"
     LIKELIHOOD_MAX = "likelihood_maximization"
-    ORACLE = "oracle"
 
 
 @dataclass(frozen=True)

@@ -23,17 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateMismatch, DomainError, EmptySampleError
-from .estimators import EstimatorKind, likelihood_rows
+from .estimators import MATCHED_FAMILY, EstimatorKind, likelihood_rows
 from .families import FamilyKind, FamilySpec, eval_members_batch, member_with_normalizer
 from .measures import Distribution, SampleData, check_alpha
 from .oracle import SimplexGrid
 
-MATCHED_LIKELIHOOD = {
-    FamilyKind.EXPONENTIAL: EstimatorKind.MLE,
-    FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW: EstimatorKind.BASU,
-    FamilyKind.ALPHA_POWER_LAW: EstimatorKind.JONES,
-    FamilyKind.ALPHA_EXPONENTIAL: EstimatorKind.HELLINGER,
-}
+MATCHED_LIKELIHOOD = {family: kind for kind, family in MATCHED_FAMILY.items()}
 
 
 @dataclass(frozen=True)

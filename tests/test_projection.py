@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import divproj.families
 import divproj.projection
@@ -227,10 +229,11 @@ class TestNearZeroOptimum:
             assert abs(gap) <= 1e-9
 
 
-class TestSlsqpFallback:
-    # alpha = 3: the full-support Newton from theta = 0 stalls against the
-    # bracket of x2, the active-set sweep clamps the wrong symbol, and only
-    # the SLSQP fallback finds the optimum, which clamps x3
+class TestWrongClampStall:
+    # alpha = 3: a full-support Newton from theta = 0 stalls against the
+    # bracket of x2 (P(x2) about 9e-10), although the optimum clamps x3 and
+    # puts 0.09 on x2; an active set that clamps the smallest bracket on a
+    # stall ends on the wrong face
     Q = [0.6769154973788509, 0.18233672119268407, 0.06791262668497285, 0.07283515474349221]
     F = [
         [-0.36937307941137476, 0.7963216261657113, 0.049482819243600866, -0.47643136599793745],
@@ -238,9 +241,28 @@ class TestSlsqpFallback:
     ]
     A = [0.36302128229886227, 0.01799342065193138]
 
+    def test_clamps_the_right_symbol(self):
+        q = Distribution(Alphabet.of_size(4), self.Q)
+        lin = LinearFamilySpec(np.array(self.F), np.array(self.A), alphabet=q.alphabet)
+        res = forward_dpd_projection(q, lin, 3.0)
+        assert res.p_star.probs[3] == 0.0 and np.all(res.p_star.probs[:3] > 0.0)
+        assert res.p_star.probs[2] == pytest.approx(0.090, abs=1e-3)
+        assert lin.contains(res.p_star, tol=1e-9)
+        assert np.all(res.kkt_multipliers["mu"] >= -1e-12)
+        _, _, residual, clamp_ok = fit_projection_form(res.p_star, q, lin, 3.0)
+        assert residual <= 1e-8 and clamp_ok
+
+
+class TestSlsqpFallback:
+    # alpha = 10: the dual Newton fails on this family, so the projection
+    # falls back to SLSQP and certifies its point with a parametric refit
+    Q = [0.09245055042079164, 0.45176110653873947, 0.455788343040469]
+    F = [[-0.9910389122008587, 0.5018831915877722, -0.8625885488683183]]
+    A = [-0.3335106145567373]
+
     def test_precision_limited_exit_still_seeds_the_refit(self, monkeypatch):
-        # with single-threaded BLAS, SLSQP ends this instance with exit 8
-        # ("positive directional derivative") at the optimum
+        # SLSQP's exit 8 ("positive directional derivative") is its
+        # precision limit; its point still seeds the refit
         original = divproj.projection.minimize
         calls = []
 
@@ -252,14 +274,13 @@ class TestSlsqpFallback:
             return res
 
         monkeypatch.setattr(divproj.projection, "minimize", precision_limited)
-        q = Distribution(Alphabet.of_size(4), self.Q)
+        q = Distribution(Alphabet.of_size(3), self.Q)
         lin = LinearFamilySpec(np.array(self.F), np.array(self.A), alphabet=q.alphabet)
-        res = forward_dpd_projection(q, lin, 3.0)
+        res = forward_dpd_projection(q, lin, 10.0)
         assert len(calls) == 1
-        assert res.p_star.probs[3] == 0.0 and np.all(res.p_star.probs[:3] > 0.0)
         assert lin.contains(res.p_star, tol=1e-9)
         assert np.all(res.kkt_multipliers["mu"] >= -1e-12)
-        _, _, residual, clamp_ok = fit_projection_form(res.p_star, q, lin, 3.0)
+        _, _, residual, clamp_ok = fit_projection_form(res.p_star, q, lin, 10.0)
         assert residual <= 1e-8 and clamp_ok
 
 
@@ -285,6 +306,30 @@ class TestBoundaryFaces:
         res = forward_dpd_projection(q, lin, alpha)
         _, _, residual, clamp_ok = fit_projection_form(res.p_star, q, lin, alpha)
         assert residual <= 1e-10 and clamp_ok
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    def test_multipliers_are_nonnegative_off_the_face(self, alpha):
+        # the face pins P(a) = 0; mu must certify that symbol too
+        lin = LinearFamilySpec(np.array([[1.0, 0.0, 0.0]]), np.array([0.0]), alphabet=A3)
+        q = Distribution(A3, [0.2, 0.3, 0.5])
+        res = forward_dpd_projection(q, lin, alpha)
+        kkt = res.kkt_multipliers
+        assert np.all(kkt["mu"] >= -1e-12)
+        assert np.max(np.abs(kkt["mu"] * res.p_star.probs)) <= 1e-10
+        grad = alpha / (alpha - 1.0) * (res.p_star.probs ** (alpha - 1.0) - q.probs ** (alpha - 1.0))
+        rhs = kkt["lambda"] @ (lin.f - lin.a[:, None]) + kkt["mu"] - kkt["nu"]
+        assert np.max(np.abs(grad - rhs)) <= 1e-9
+
+    def test_single_point_family(self):
+        # three rows pin the one member (0.2, 0.3, 0.5, 0); on its support
+        # the (theta, Z) system is rank-deficient
+        f = np.array([[2.0, 0.0, 0.0, 0.0], [1.0, -1.0, 0.0, 2.0], [-2.0, 2.0, 0.0, -1.0]])
+        point = np.array([0.2, 0.3, 0.5, 0.0])
+        q = Distribution(Alphabet.of_size(4), [0.1, 0.2, 0.3, 0.4])
+        lin = LinearFamilySpec(f, f @ point, alphabet=q.alphabet)
+        res = forward_dpd_projection(q, lin, 0.8)
+        assert res.p_star.probs[3] == 0.0
+        assert np.max(np.abs(res.p_star.probs - point)) <= 1e-9
 
     def test_single_vertex_face(self):
         # P(a) - 2 P(b) = 1 leaves the one member (1, 0)
@@ -371,6 +416,42 @@ class TestPythagorean:
     def test_gap_zero_at_projection_itself(self):
         res = forward_dpd_projection(Q3_UNIFORM, LIN_HAND, 2.0)
         assert pythagorean_gap(res.p_star, res.p_star, Q3_UNIFORM, 2.0) == pytest.approx(0.0, abs=1e-14)
+
+
+class TestProjectionProperties:
+    """Random linear families, one in three on a boundary face that a row
+    pins, with targets pushed toward a vertex half the time."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(3, 5),
+        k=st.integers(1, 2),
+        boundary=st.booleans(),
+        pushed=st.booleans(),
+        alpha=st.one_of(st.floats(0.05, 0.95), st.floats(1.05, 3.0)),
+    )
+    def test_certified_projection(self, seed, m, k, boundary, pushed, alpha):
+        rng = rng_of(seed)
+        q = random_distribution(rng, m, floor=0.02)
+        f = rng.uniform(-1.0, 1.0, size=(k, m))
+        face = np.ones(m, dtype=bool)
+        if boundary:
+            missing = int(rng.integers(m))
+            face[missing] = False
+            f[0] = rng.uniform(-0.5, 0.5)
+            f[0, missing] += 1.0
+        target = np.zeros(m)
+        target[face] = rng.dirichlet(np.ones(int(face.sum())))
+        if pushed:
+            target = 0.85 * np.eye(m)[np.flatnonzero(face)[0]] + 0.15 * face / face.sum()
+        lin = LinearFamilySpec(f, f @ target, alphabet=q.alphabet)
+        res = forward_dpd_projection(q, lin, alpha)
+        assert lin.contains(res.p_star, tol=1e-9)
+        if alpha > 1.0:
+            assert np.all(res.kkt_multipliers["mu"] >= -1e-12)
+        for _ in range(3):
+            assert pythagorean_gap(lin.sample_member(rng), res.p_star, q, alpha) >= -1e-10
 
 
 class TestOrthogonality:
