@@ -262,6 +262,8 @@ def _cmd_project_reverse(args, cfg):
 
 
 def _cmd_verify_pythagoras(args, cfg):
+    if args.trials < 1:
+        raise InputError("--trials must be at least 1")
     q = load_distribution(args.q)
     lin = load_linear_family(args.linear, alphabet=q.alphabet)
     res = forward_dpd_projection(q, lin, args.alpha)

@@ -30,10 +30,12 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("residual_tol", "membership_tol"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:  # NaN fails too
                 raise InputError(f"{name} must be positive")
         if self.max_iterations < 1:
             raise InputError("max_iterations must be >= 1")
+        if self.rng_seed < 0:
+            raise InputError("rng_seed must be >= 0")
         if self.output_format not in ("json", "text"):
             raise InputError("output_format must be json or text")
 

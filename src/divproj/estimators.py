@@ -151,7 +151,8 @@ def solve_estimating_equation(
     tol: float = RESIDUAL_TOL,
     max_iter: int = MAX_ITER,
 ) -> SolveReport:
-    """Damped Newton on the estimating residual."""
+    """Damped Newton on the estimating residual, globalized by the kind's
+    likelihood (the residual is a positive multiple of its gradient)."""
     kind = EstimatorKind(kind)
     note = "" if is_matched_pair(kind, spec) else "unmatched pair, no equivalence guarantee"
 
@@ -167,6 +168,7 @@ def solve_estimating_equation(
         route=Route.ESTIMATING_EQ,
         member_fn=lambda t: eval_member(spec, t),
         note=note,
+        objective=lambda t: likelihood(kind, spec, t, sample, alpha=alpha),
     )
 
 

@@ -488,6 +488,8 @@ class LinearFamilySpec:
         a = np.atleast_1d(np.asarray(self.a, dtype=float))
         if f.shape[0] != a.shape[0]:
             raise InvalidDistribution("constraint matrix and target sizes differ")
+        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(a))):
+            raise InvalidDistribution("linear family has non-finite entries")
         alphabet = self.alphabet or Alphabet.of_size(f.shape[1])
         if alphabet.size != f.shape[1]:
             raise InvalidDistribution("constraint matrix does not match alphabet")

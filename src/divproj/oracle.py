@@ -15,15 +15,20 @@ matched likelihoods), so brute force and solvers cannot drift apart.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .divergences import DivergenceKind, divergence_fixed_p, divergence_rows
-from .errors import CertificateMismatch, EmptyFeasibleGrid, NoAdmissibleTheta
+from .errors import CertificateMismatch, EmptyFeasibleGrid, InputError, NoAdmissibleTheta
 from .estimators import EstimatorKind, likelihood_rows
 from .families import FamilySpec, LinearFamilySpec, eval_members_batch
 from .measures import Distribution, SampleData
+
+# A grid holds one row of m (or k) numbers per point, and its oracle several
+# such arrays; a grid of more points is refused before anything is allocated.
+MAX_GRID_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -37,11 +42,11 @@ class SimplexGrid:
     def __post_init__(self):
         if self.m < 2 or self.resolution < 1:
             raise EmptyFeasibleGrid("grid needs m >= 2 and resolution >= 1")
+        if self.point_count() > MAX_GRID_POINTS:
+            raise InputError(f"simplex grid of {self.point_count()} points exceeds {MAX_GRID_POINTS}")
 
     def point_count(self) -> int:
-        from math import comb
-
-        return comb(self.resolution + self.m - 1, self.m - 1)
+        return math.comb(self.resolution + self.m - 1, self.m - 1)
 
     def counts(self) -> np.ndarray:
         """Every composition of ``resolution`` into m nonnegative parts, in
@@ -102,6 +107,13 @@ class ThetaGrid:
         hi = np.broadcast_to(np.asarray(hi, dtype=float), (k,)).copy()
         steps = np.broadcast_to(np.asarray(steps, dtype=int), (k,)).copy()
         return cls(lo, hi, steps)
+
+    def __post_init__(self):
+        if np.any(self.steps < 1):
+            raise InputError("parameter grid needs at least one step per dimension")
+        count = math.prod(int(s) for s in self.steps)
+        if count > MAX_GRID_POINTS:
+            raise InputError(f"parameter grid of {count} points exceeds {MAX_GRID_POINTS}")
 
     def points(self) -> np.ndarray:
         axes = [

@@ -1,16 +1,17 @@
 """Damped-Newton root solving for estimating/projection equation residuals.
 
-Jacobians are central finite differences (step 1e-6*(1+|theta_j|)); damping
-is Armijo backtracking on ||residual||^2 with factor 0.5 and at most 30
-halvings.  On stall or an inadmissible start the solver falls back to a
-multi-start sweep over a coarse 3^k grid; the winner is the smallest
-residual, ties (< 1e-12 apart) broken by the smallest ||theta||.
+One Newton run from the caller's start (default theta = 0, where P_theta = Q
+is admissible); an inadmissible start raises ``NoConvergence``.  Jacobians
+are central finite differences (step 1e-6*(1+|theta_j|)); damping is Armijo
+backtracking on ||residual||^2 with factor 0.5 and at most 30 halvings.  An
+estimating residual is a positive multiple of its likelihood's gradient, so
+that route also accepts steps on which the likelihood rises: on the ||r||^2
+merit alone, Newton can walk off along a ray where the residual flattens.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +24,6 @@ MAX_ITER = 200
 FD_STEP = 1e-6
 ARMIJO_FACTOR = 0.5
 MAX_HALVINGS = 30
-MULTISTART_EXTENT = 0.5
 # Iterates are confined to this box (desk-scale statistics are O(1)); a
 # residual that only vanishes along an unbounded ray (degenerate samples,
 # supremum at infinity) escapes it and is reported as NoConvergence.
@@ -87,47 +87,6 @@ def fd_jacobian(residual_fn, theta, r0=None):
     return jac
 
 
-def _newton_from(residual_fn, theta0, tol, max_iter):
-    """One damped-Newton run; returns (theta, r, norm, iters, trace, ok)."""
-    theta = np.asarray(theta0, dtype=float).copy()
-    r = _try_residual(residual_fn, theta)
-    if r is None:
-        return None
-    norm = float(np.max(np.abs(r)))
-    trace = [(theta.copy(), norm)]
-    for it in range(1, max_iter + 1):
-        if norm <= tol:
-            return theta, r, norm, it - 1, trace, True
-        if float(np.max(np.abs(theta))) > THETA_CAP:
-            return theta, r, norm, it - 1, trace, False
-        try:
-            jac = fd_jacobian(residual_fn, theta, r0=r)
-        except DomainViolation:
-            return theta, r, norm, it - 1, trace, False
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        phi = float(r @ r)
-        t = 1.0
-        accepted = False
-        for _ in range(MAX_HALVINGS + 1):
-            cand = theta + t * step
-            rc = _try_residual(residual_fn, cand)
-            if rc is not None:
-                phi_c = float(rc @ rc)
-                if phi_c <= phi * (1.0 - 1e-4 * t):
-                    theta, r = cand, rc
-                    norm = float(np.max(np.abs(r)))
-                    trace.append((theta.copy(), norm))
-                    accepted = True
-                    break
-            t *= ARMIJO_FACTOR
-        if not accepted:
-            return theta, r, norm, it, trace, norm <= tol
-    return theta, r, norm, max_iter, trace, norm <= tol
-
-
 def solve_residual(
     residual_fn,
     theta_dim: int,
@@ -137,43 +96,63 @@ def solve_residual(
     route: Route = Route.ESTIMATING_EQ,
     member_fn=None,
     note: str = "",
+    objective=None,
 ) -> SolveReport:
-    """Drive residual_fn to zero; damped Newton with a multi-start fallback."""
-    theta0 = np.zeros(theta_dim) if init is None else np.asarray(init, dtype=float)
-    runs = []
-    first = _newton_from(residual_fn, theta0, tol, max_iter)
-    if first is not None:
-        runs.append(first)
-    if first is None or not first[-1]:
-        grid = itertools.product((-MULTISTART_EXTENT, 0.0, MULTISTART_EXTENT), repeat=theta_dim)
-        for start in grid:
-            start = np.asarray(start)
-            if first is not None and np.allclose(start, theta0):
-                continue
-            # shrink toward the origin until admissible: the admissible
-            # region can be a thin sliver on one side
-            for _ in range(8):
-                if _try_residual(residual_fn, start) is not None:
-                    break
-                start = 0.5 * start
-            run = _newton_from(residual_fn, start, tol, max_iter)
-            if run is not None:
-                runs.append(run)
-                if run[-1]:
-                    break
-    if not runs:
-        raise DomainViolation("no admissible start found")
+    """Drive residual_fn to zero by damped Newton from ``init`` (default 0).
 
-    def run_key(run):
-        theta, _, norm, *_ = run
-        return (norm, float(np.linalg.norm(theta)))
-
-    best = min(runs, key=run_key)
-    # deterministic tie-break: smallest residual, then smallest ||theta||
-    near = [r for r in runs if r[2] <= best[2] + 1e-12]
-    best = min(near, key=lambda r: float(np.linalg.norm(r[0])))
-    theta, r, norm, iters, trace, ok = best
-    if not ok:
+    ``objective``, when given, is a function whose gradient the residual is
+    a positive multiple of.  A Newton step that does not ascend it becomes
+    the residual scaled to unit infinity norm (the line search only shrinks
+    a step, and ||r|| is tiny where the objective is flat), and a trial
+    point the ||r||^2 test rejects is accepted when the objective rises
+    strictly.
+    """
+    theta = np.zeros(theta_dim) if init is None else np.asarray(init, dtype=float).copy()
+    r = _try_residual(residual_fn, theta)
+    if r is None:
+        raise NoConvergence("start is inadmissible", best_theta=theta)
+    norm = float(np.max(np.abs(r)))
+    trace = [(theta.copy(), norm)]
+    value = None  # objective at theta, evaluated only when needed
+    iters = max_iter
+    for it in range(1, max_iter + 1):
+        if norm <= tol or float(np.max(np.abs(theta))) > THETA_CAP:
+            iters = it - 1
+            break
+        try:
+            jac = fd_jacobian(residual_fn, theta, r0=r)
+        except DomainViolation:
+            iters = it - 1
+            break
+        try:
+            step = np.linalg.solve(jac, -r)
+        except np.linalg.LinAlgError:
+            step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        if objective is not None and float(r @ step) <= 0.0:
+            step = r / norm
+        phi = float(r @ r)
+        t = 1.0
+        for _ in range(MAX_HALVINGS + 1):
+            cand = theta + t * step
+            rc = _try_residual(residual_fn, cand)
+            if rc is not None:
+                if float(rc @ rc) <= phi * (1.0 - 1e-4 * t):
+                    theta, r, value = cand, rc, None
+                    break
+                if objective is not None:
+                    if value is None:
+                        value = objective(theta)
+                    value_c = objective(cand)
+                    if value_c > value:
+                        theta, r, value = cand, rc, value_c
+                        break
+            t *= ARMIJO_FACTOR
+        else:
+            iters = it
+            break
+        norm = float(np.max(np.abs(r)))
+        trace.append((theta.copy(), norm))
+    if norm > tol:
         raise NoConvergence(
             f"residual stalled at {norm:.3e} after {iters} iterations",
             best_theta=theta,
@@ -185,7 +164,7 @@ def solve_residual(
         p_star=p_star,
         residual_norm=norm,
         iterations=iters,
-        trace=tuple((t.copy(), n) for t, n in trace),
+        trace=tuple(trace),
         route=route,
         note=note,
     )

@@ -230,6 +230,63 @@ class TestSolvers:
         assert not is_matched_pair(EstimatorKind.BASU, BERNOULLI)
 
 
+FAMILY_ALPHA = {MATCHED_FAMILY[kind]: alpha for kind, alpha in ALPHA_OF_KIND.items()}
+
+
+class TestResidualIsLikelihoodGradient:
+    """The estimating residual is a positive multiple of the gradient of the
+    kind's likelihood, on every family kind and at any alpha; the estimating
+    route's line search relies on it."""
+
+    @pytest.mark.parametrize("other_alpha", [False, True], ids=["spec_alpha", "other_alpha"])
+    @pytest.mark.parametrize("family_kind", list(FamilyKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("kind", list(EstimatorKind), ids=lambda k: k.value)
+    def test_positive_multiple(self, kind, family_kind, other_alpha):
+        rng = rng_of(700 + 10 * list(EstimatorKind).index(kind) + list(FamilyKind).index(family_kind))
+        spec = random_family(rng, family_kind, m=4, k=2, alpha=FAMILY_ALPHA[family_kind], f_scale=0.6)
+        alpha = 1.5 if other_alpha else None
+        sample = sample_from(spec, random_admissible_theta(rng, spec), 40, rng)
+        theta = random_admissible_theta(rng, spec)
+        r = estimating_residual(kind, spec, theta, sample, alpha=alpha)
+        grad = np.empty(2)
+        for j in range(2):
+            h = np.zeros(2)
+            h[j] = 1e-5
+            grad[j] = (
+                likelihood(kind, spec, theta + h, sample, alpha=alpha)
+                - likelihood(kind, spec, theta - h, sample, alpha=alpha)
+            ) / 2e-5
+        ratio = float(grad @ r) / float(r @ r)
+        assert ratio > 0.0
+        assert np.max(np.abs(grad - ratio * r)) <= 1e-6 * np.max(np.abs(grad))
+
+
+class TestEstimatingRouteStart:
+    """Criterion 10's Jones family: on the ||r||^2 merit alone, Newton from 0
+    walks off toward theta = -16, where the residual flattens along a ray;
+    from -5 the likelihood is flat, and small ascent steps would crawl."""
+
+    A4 = Alphabet.of_size(4)
+    SPEC = FamilySpec(
+        FamilyKind.ALPHA_POWER_LAW, Distribution(A4, [0.1, 0.2, 0.3, 0.4]), np.array([[0.0, 1.0, 2.0, 3.0]]), alpha=2.0
+    )
+
+    @pytest.mark.parametrize("counts", [[4, 3, 2, 3], [5, 1, 3, 3]])
+    @pytest.mark.parametrize("init", [None, [-0.5], [-5.0]])
+    def test_one_run_from_the_callers_start(self, init, counts):
+        sample = SampleData.from_counts(counts, self.A4)
+        rep = solve_estimating_equation(EstimatorKind.JONES, self.SPEC, sample, init=init)
+        assert rep.theta_star[0] == pytest.approx(1.0 / 9.0, abs=1e-10)
+        start = np.zeros(1) if init is None else np.asarray(init)
+        assert np.array_equal(rep.trace[0][0], start)
+
+    def test_inadmissible_start_is_an_error(self):
+        sample = SampleData.from_counts([4, 3, 2, 3], self.A4)
+        with pytest.raises(NoConvergence, match="inadmissible") as err:
+            solve_estimating_equation(EstimatorKind.JONES, self.SPEC, sample, init=[5.0])
+        assert np.array_equal(err.value.best_theta, [5.0])
+
+
 class TestHellingerJonesEquivalence:
     """Solving the Hellinger equation on an alpha-exponential family is the
     same problem as solving the Jones equation on the escorted power-law

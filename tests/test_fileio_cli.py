@@ -3,8 +3,13 @@ import os
 import subprocess
 import sys
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import divproj
 
@@ -141,6 +146,14 @@ class TestConfig:
             RunConfig(residual_tol=-1.0)
         with pytest.raises(InputError):
             RunConfig(output_format="yaml")
+
+
+    @pytest.mark.parametrize(
+        "bad", [{"residual_tol": float("nan")}, {"membership_tol": float("nan")}, {"rng_seed": -3}]
+    )
+    def test_nan_tolerance_and_negative_seed_rejected(self, bad):
+        with pytest.raises(InputError):
+            RunConfig(**bad)
 
 
 class TestCLI:
@@ -285,6 +298,49 @@ class TestCLI:
         )
         assert json.loads(out)["seed"] == 9
 
+    def test_inadmissible_init_exit_one(self, capsys, files, tmp_path):
+        fam = tmp_path / "jones.json"
+        fam.write_text(json.dumps({
+            "kind": "alpha_power_law", "alpha": 2.0, "q": [0.1, 0.2, 0.3, 0.4],
+            "f": [[0.0, 1.0, 2.0, 3.0]], "alphabet": ["a", "b", "c", "d"],
+        }))
+        smp = tmp_path / "smp4.json"
+        smp.write_text(json.dumps({"alphabet": ["a", "b", "c", "d"], "observations": list("aaaabbbccddd")}))
+        code, out, _ = self.run(
+            capsys, "estimate", "--kind", "jones", "--family", str(fam), "--sample", str(smp), "--init", "5"
+        )
+        assert code == 1
+        report = json.loads(out)
+        assert report["error"] == "NoConvergence"
+        assert report["best_theta"] == [5.0]
+
+    @pytest.mark.parametrize(
+        "payload", [{"f": [[1, 0, 0]], "a": [float("nan")]}, {"f": [[1, float("inf"), 0]], "a": [0.5]}]
+    )
+    def test_nonfinite_linear_family_exit_two(self, capsys, files, tmp_path, payload):
+        lin = tmp_path / "nonfinite.json"
+        lin.write_text(json.dumps(payload))
+        code, out, _ = self.run(capsys, "project", "forward", "--alpha", "2", "--q", files["q3"], "--linear", str(lin))
+        assert code == 2
+        assert json.loads(out)["error"] == "InvalidDistribution"
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_pythagoras_needs_a_trial(self, capsys, files, trials):
+        code, out, _ = self.run(
+            capsys, "verify", "pythagoras", "--alpha", "0.5", "--q", files["q3"], "--linear", files["lin"],
+            f"--trials={trials}",
+        )
+        assert code == 2
+        assert json.loads(out)["error"] == "InputError"
+
+    def test_oversized_simplex_grid_exit_two(self, capsys, files):
+        # 5e9 points: refused before any array is allocated
+        code, out, _ = self.run(
+            capsys, "oracle", "forward", "--kind", "dpd", "--alpha", "2", "--q", files["q3"], "--resolution", "100000"
+        )
+        assert code == 2
+        assert "exceeds" in json.loads(out)["message"]
+
     def test_text_format(self, capsys, files):
         code, out, _ = self.run(
             capsys, "--format", "text", "divergence", "--kind", "dpd", "--alpha", "2", "--p", files["p"], "--q", files["q"]
@@ -327,6 +383,86 @@ class TestSampleGenerator:
     def test_bad_rate_rejected(self):
         with pytest.raises(InputError):
             sample_generator(self.spec(), [0.0], 10, contamination=(1.5, "b"))
+
+
+CLI_NUMBERS = ("nan", "inf", "-inf", "0", "-1", "-3", "0.5", "2", "1e308", "-1e308")
+CLI_COUNTS = ("-3", "0", "1", "7")  # small, so that no example runs long
+CLI_GRID_STEPS = CLI_COUNTS + ("100000", "2000000")  # the last is over the point cap
+CLI_VECTORS = ("nan", "inf", "", "0", "5", "-1e308", "0,0", "x")
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("cli_contract")
+
+    def write(name, payload):
+        path = tmp / name
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    return {
+        "p": write("p.json", {"alphabet": ["a", "b", "c"], "probs": [0.2, 0.3, 0.5]}),
+        "q": write("q.json", {"alphabet": ["a", "b", "c"], "probs": [1 / 3, 1 / 3, 1 / 3]}),
+        "lin": write("lin.json", {"f": [[0.0, 1.0, 2.0]], "a": [1.2]}),
+        "fam": write("fam.json", {
+            "kind": "alpha_power_law", "alpha": 2.0, "q": [0.2, 0.3, 0.5], "f": [[0.0, 1.0, 2.0]],
+            "alphabet": ["a", "b", "c"],
+        }),
+        "smp": write("smp.json", {"alphabet": ["a", "b", "c"], "observations": list("abbccc")}),
+    }
+
+
+def _cli_argv(f, command, x, n, g, v):
+    """argv of one subcommand for a number x, a count n, a grid size g and a
+    vector text v.  Values go in as --opt=value, so that argparse accepts a
+    leading minus sign: argparse usage errors print only to stderr and are
+    not part of this contract."""
+    lin = ["--q", f["q"], "--linear", f["lin"]]
+    fam = ["--family", f["fam"], "--sample", f["smp"]]
+    return {
+        "divergence": ["divergence", "--kind", "rae", f"--alpha={x}", "--p", f["p"], "--q", f["q"]],
+        "family eval": ["family", "eval", "--spec", f["fam"], f"--theta={v}"],
+        "estimate": ["estimate", "--kind", "jones", f"--alpha={x}", *fam, "--route", "both", f"--init={v}"],
+        "project forward": ["project", "forward", f"--alpha={x}", *lin],
+        "project reverse": ["project", "reverse", f"--alpha={x}", *fam],
+        "verify pythagoras": ["verify", "pythagoras", f"--alpha={x}", *lin, f"--trials={n}"],
+        "suffstat": ["suffstat", "--model", "mpow", f"--alpha={x}", *fam],
+        "suffcheck": ["suffcheck", "--model", "mpow", "--family", f["fam"], "--sample-a", f["smp"],
+                      "--sample-b", f["smp"], f"--grid={x}:1:{g}"],
+        "oracle forward": ["oracle", "forward", "--kind", "dpd", f"--alpha={x}", *lin, f"--resolution={g}"],
+        "oracle reverse": ["oracle", "reverse", "--kind", "rae", f"--alpha={x}", *fam, f"--box=-1:{x}:{g}"],
+        "sample": ["sample", "--family", f["fam"], f"--theta={v}", f"--n={n}", f"--rate={x}", "--outlier", "a"],
+    }[command]
+
+
+class TestCLIContract:
+    """Every subcommand, fed NaN, inf, zero, negative and over-cap values,
+    exits 0, 1 or 2 with a JSON report on stdout and no traceback."""
+
+    @settings(
+        max_examples=250, deadline=None, derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        command=st.sampled_from(
+            ["divergence", "family eval", "estimate", "project forward", "project reverse", "verify pythagoras",
+             "suffstat", "suffcheck", "oracle forward", "oracle reverse", "sample"]
+        ),
+        flag=st.sampled_from(["", "--seed", "--residual-tol", "--max-iter"]),
+        x=st.sampled_from(CLI_NUMBERS),
+        n=st.sampled_from(CLI_COUNTS),
+        g=st.sampled_from(CLI_GRID_STEPS),
+        v=st.sampled_from(CLI_VECTORS),
+    )
+    def test_exit_code_and_json_report(self, cli_files, command, flag, x, n, g, v):
+        glob = {"": [], "--seed": [f"--seed={n}"], "--residual-tol": [f"--residual-tol={x}"],
+                "--max-iter": [f"--max-iter={n}"]}[flag]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*glob, *_cli_argv(cli_files, command, x, n, g, v)])
+        assert code in (0, 1, 2)
+        assert isinstance(json.loads(out.getvalue()), dict)
+        assert "Traceback" not in err.getvalue()
 
 
 SCIPY_PROBE = """

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from divproj.divergences import DivergenceKind
-from divproj.errors import EmptyFeasibleGrid, NoAdmissibleTheta
+from divproj.errors import EmptyFeasibleGrid, InputError, NoAdmissibleTheta
 from divproj.estimators import EstimatorKind
 from divproj.families import FamilyKind, FamilySpec, LinearFamilySpec
 from divproj.measures import Alphabet, Distribution, SampleData
@@ -46,6 +46,20 @@ class TestSimplexGrid:
         pts = SimplexGrid(3, 4, interior_only=True).points()
         assert np.all(pts > 0.0)
         assert len(pts) == 3  # compositions of 4 into 3 positive parts
+
+
+class TestGridCaps:
+    """Parameter grids past the point cap are refused before anything is
+    allocated (the simplex cap is tested through the CLI)."""
+
+    def test_parameter_grid_over_cap(self):
+        with pytest.raises(InputError, match="exceeds"):
+            ThetaGrid.of([-1.0, -1.0], [1.0, 1.0], [1001, 1001], k=2)
+
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_parameter_grid_needs_a_step(self, steps):
+        with pytest.raises(InputError, match="step"):
+            ThetaGrid.of(-1.0, 1.0, steps)
 
 
 class TestForwardOracle:
