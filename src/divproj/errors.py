@@ -57,7 +57,7 @@ class DomainViolation(NumericFailure):
     """A parameter leaves the admissible region of its family.
 
     ``symbols`` lists the alphabet labels whose defining bracket is
-    non-positive, when known.
+    non-positive, or whose mass underflows to 0, when known.
     """
 
     def __init__(self, message, symbols=()):

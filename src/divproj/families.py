@@ -14,12 +14,16 @@ non-normalized kind carries its normalizer *inside* the bracket, so Z(theta)
 is the root of a one-dimensional monotone mass equation rather than an
 explicit sum; it is found by a safeguarded Newton iteration that keeps a
 closed-form bracket around the root and bisects whenever a Newton step would
-leave it.  Evaluation works in the bracket domain and raises the final
-power once, which keeps domain checks exact.
+leave it.  Over a batch of parameters the iteration runs on the rows that
+have not converged yet, so a grid costs about two evaluations per row, not
+as many as its slowest row needs.  Evaluation works in the bracket domain
+and raises the final power once, which keeps domain checks exact.
 
 Members are evaluated by one kernel over rows of parameters (the grid
 oracle's batches); ``member_with_normalizer`` and ``normalizer_root`` are its
 one-row cases, so scalar and batch calls agree on values and admissibility.
+Every member has full support: a member that underflows to an exact 0 on
+some symbol is inadmissible, like one whose bracket is non-positive.
 
 The linear family {P : f P = a} solves its linear programs once, at
 construction, and caches the centre, margin and support face they give;
@@ -122,6 +126,28 @@ class FamilySpec:
         return self.q.alphabet
 
 
+ROW_LOOP_MIN = 128  # rows from which _by_row reduces one column at a time
+
+
+def _by_row(ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(x, axis=1)`` over the rows of a 2-D array.
+
+    Over many rows of a few symbols, numpy's reduction along the short
+    contiguous axis is several times slower than one ufunc call per column.
+    Below 8 columns numpy also accumulates left to right, so both ways agree
+    bit for bit.  Timed on (n, 3..5) arrays, the column loop costs 3-5 times
+    the single reduction at one row, breaks even at about 128 rows and
+    costs a sixth of it at 4096, hence ROW_LOOP_MIN.
+    """
+    n, m = x.shape
+    if n < ROW_LOOP_MIN or m >= 8:
+        return ufunc.reduce(x, axis=1)
+    out = x[:, 0].copy()
+    for j in range(1, m):
+        ufunc(out, x[:, j], out=out)
+    return out
+
+
 def _check_theta(spec: FamilySpec, theta) -> np.ndarray:
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.shape != (spec.theta_dim,):
@@ -168,36 +194,43 @@ def _violating_symbols(spec: FamilySpec, bracket: np.ndarray) -> tuple[str, ...]
 def _members(spec: FamilySpec, thetas: np.ndarray, z=None):
     """Members at the rows of ``thetas`` (n, k): ``(probs, z, ok)``.
 
-    ``probs`` is (n, m) with NaN rows where ``ok`` is False and ``z`` holds
-    each row's normalizing constant.  The non-normalized kind solves for its
-    normalizers unless they are given.
+    ``probs`` is (n, m) and ``z`` holds each row's normalizing constant.  A
+    row is not ``ok`` when a bracket is non-positive or no normalizer is
+    found (its row is NaN), or when its member underflows to an exact 0 on
+    some symbol (those entries are NaN): every member has full support.  The
+    non-normalized kind solves for its normalizers unless they are given.
     """
     a = spec.alpha
     tilt = thetas @ spec.f
     # the (n, m) work arrays are updated in place: oracle grids reach 1e5 rows
     if spec.kind is FamilyKind.EXPONENTIAL:
         w = np.log(spec.q.probs) + tilt
-        shift = w.max(axis=1)
+        shift = _by_row(np.maximum, w)
         w -= shift[:, None]
         np.exp(w, out=w)
-        total = w.sum(axis=1)
+        total = _by_row(np.add, w)
         w /= total[:, None]
-        return w, total * np.exp(shift), np.ones(len(tilt), dtype=bool)
-    found = True
-    if spec.kind is FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW:
-        if z is None:
-            z, found = _normalizer_rows(spec, tilt)[:2]
-        bracket = _bracket(spec, tilt, z[:, None])
+        z, ok = total * np.exp(shift), np.ones(len(tilt), dtype=bool)
     else:
-        bracket = _bracket(spec, tilt)
-    ok = (bracket > 0.0).all(axis=1) & found
-    w = bracket
-    w[~ok] = np.nan
-    w **= 1.0 / (1.0 - a) if spec.kind is FamilyKind.ALPHA_EXPONENTIAL else 1.0 / (a - 1.0)
-    total = w.sum(axis=1)
-    w /= total[:, None]
-    if spec.kind is not FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW:
-        z = total
+        found = True
+        if spec.kind is FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW:
+            if z is None:
+                z, found = _normalizer_rows(spec, tilt)[:2]
+            bracket = _bracket(spec, tilt, z[:, None])
+        else:
+            bracket = _bracket(spec, tilt)
+        ok = _by_row(np.logical_and, bracket > 0.0) & found
+        w = bracket
+        w[~ok] = np.nan
+        w **= 1.0 / (1.0 - a) if spec.kind is FamilyKind.ALPHA_EXPONENTIAL else 1.0 / (a - 1.0)
+        total = _by_row(np.add, w)
+        w /= total[:, None]
+        if spec.kind is not FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW:
+            z = total
+    zero = w == 0.0
+    if zero.any():
+        w[zero] = np.nan
+        ok = ok & ~zero.any(axis=1)
     return w, z, ok
 
 
@@ -209,9 +242,13 @@ def member_with_normalizer(spec: FamilySpec, theta) -> tuple[Distribution, float
         z = np.array([normalizer_root(spec, theta)])
     probs, z, ok = _members(spec, theta[None, :], z)
     if not ok[0]:
+        if spec.kind is not FamilyKind.EXPONENTIAL:
+            symbols = _violating_symbols(spec, bracket_values(spec, theta, z[0]))
+            if symbols:
+                raise DomainViolation("bracket non-positive on some symbols", symbols=symbols)
         raise DomainViolation(
-            "bracket non-positive on some symbols",
-            symbols=_violating_symbols(spec, bracket_values(spec, theta, z[0])),
+            "member underflows to 0 on some symbols",
+            symbols=tuple(s for s, p in zip(spec.alphabet.symbols, probs[0]) if np.isnan(p)),
         )
     return Distribution(spec.alphabet, probs[0], strict=True), float(z[0])
 
@@ -224,8 +261,9 @@ def eval_member(spec: FamilySpec, theta) -> Distribution:
 def eval_members_batch(spec: FamilySpec, thetas: np.ndarray):
     """Evaluate many parameters at once: the row form of ``eval_member``.
 
-    Returns ``(probs, admissible)`` where ``probs`` is (n, m) with NaN rows
-    for inadmissible parameters and ``admissible`` is the boolean mask.
+    Returns ``(probs, admissible)`` where ``probs`` is (n, m) and
+    ``admissible`` is the boolean mask; an inadmissible row holds NaN (the
+    whole row, or the entries its member underflowed on).
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim == 1:
@@ -241,7 +279,7 @@ NORMALIZER_MAX_STEPS = 100
 
 
 def _normalizer_rows(spec: FamilySpec, tilt: np.ndarray, tol: float = 1e-12):
-    """Z for every row of ``tilt`` = thetas @ f (n, m), all rows at once.
+    """Z for every row of ``tilt`` = thetas @ f (n, m), the rows in one batch.
 
     Symbol x's bracket is (1-a)(Z - e_x) with edge e_x = Q(x)^(a-1)/(a-1) -
     tilt(x): |a-1| times the distance of Z from e_x.  So the admissible Z
@@ -253,7 +291,11 @@ def _normalizer_rows(spec: FamilySpec, tilt: np.ndarray, tol: float = 1e-12):
     edge to 0; at z_edge + m^(1-a)/(1-a) every bracket is at least m^(1-a)
     and the mass at most 1.  Inside that bracket [lo, hi] a Newton step is
     taken when it stays strictly inside and a bisection step otherwise,
-    until |mass - 1| <= tol.
+    until |mass - 1| <= tol.  Only the active rows are evaluated: a rootless
+    row never enters, and a row leaves on the step it converges, keeping
+    that step's mass, Newton point and admissibility.  Each row's arithmetic
+    is that of its one-row call, so a batch and the one-row calls agree bit
+    for bit.
 
     Returns ``(z, found, has_root, lo, hi)``: ``found`` marks rows whose
     normalizer keeps every bracket positive with |mass - 1| within
@@ -263,33 +305,56 @@ def _normalizer_rows(spec: FamilySpec, tilt: np.ndarray, tol: float = 1e-12):
     qa = spec.q.probs ** (a - 1.0)
     expo = 1.0 / (a - 1.0)
 
-    def evaluate(z):
+    def evaluate(tilt, z):
         bracket = _bracket(spec, tilt, z[:, None])
-        admissible = (bracket > 0.0).all(axis=1)
+        admissible = _by_row(np.logical_and, bracket > 0.0)
         np.maximum(bracket, 0.0, out=bracket)
-        return (bracket**expo).sum(axis=1), -(bracket ** (expo - 1.0)).sum(axis=1), admissible
+        return _by_row(np.add, bracket**expo), -_by_row(np.add, bracket ** (expo - 1.0)), admissible
 
+    n = len(tilt)
     with np.errstate(divide="ignore", invalid="ignore"):
-        z_edge = (np.min if a > 1.0 else np.max)(qa / (a - 1.0) - tilt, axis=1)
+        z_edge = _by_row(np.minimum if a > 1.0 else np.maximum, qa / (a - 1.0) - tilt)
         if a > 1.0:
             lo, hi = z_edge - 1.0 / (a - 1.0), z_edge
-            has_root = evaluate(hi)[0] < 1.0
+            has_root = evaluate(tilt, hi)[0] < 1.0
         else:
             lo, hi = z_edge, z_edge + qa.size ** (1.0 - a) / (1.0 - a)
-            has_root = np.ones(len(tilt), dtype=bool)
+            has_root = np.ones(n, dtype=bool)
         interval = (lo, hi)
         z = np.where((lo < 0.0) & (0.0 < hi), 0.0, 0.5 * (lo + hi))
-        done = ~has_root
+        # the rows still iterating, and their tilts, iterates and brackets;
+        # a rootless row keeps its start and is not found
+        rows = np.flatnonzero(has_root)
+        if not rows.size:
+            return z, has_root.copy(), has_root, *interval
+        t, zr, lr, hr = (tilt, z, lo, hi) if rows.size == n else (x[rows] for x in (tilt, z, lo, hi))
+        mass = None  # each row's last state, kept once some row has stopped
         for step in range(NORMALIZER_MAX_STEPS):
-            mass, slope, admissible = evaluate(z)
-            above = mass >= 1.0
-            lo, hi = np.where(above, z, lo), np.where(above, hi, z)
-            newton = z - (mass - 1.0) / slope
-            inside = (lo < newton) & (newton < hi)
-            converged = np.abs(mass - 1.0) <= tol
-            if np.all(done | converged) or step == NORMALIZER_MAX_STEPS - 1:
-                break
-            z = np.where(done | converged, z, np.where(inside, newton, 0.5 * (lo + hi)))
+            mr, slope, ar = evaluate(t, zr)
+            above = mr >= 1.0
+            lr, hr = np.where(above, zr, lr), np.where(above, hr, zr)
+            nr = zr - (mr - 1.0) / slope
+            ir = (lr < nr) & (nr < hr)
+            stop = np.abs(mr - 1.0) <= tol
+            if step == NORMALIZER_MAX_STEPS - 1:
+                stop[:] = True
+            if stop.any():
+                if mass is None:
+                    if rows.size == n and stop.all():
+                        z, mass, newton, inside, admissible = zr, mr, nr, ir, ar
+                        break
+                    mass, newton = np.zeros(n), z.copy()
+                    inside, admissible = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+                # converged rows leave the active set with their last state;
+                # compacting only on such steps keeps the one-row case cheap
+                done = rows[stop]
+                z[done], mass[done], newton[done] = zr[stop], mr[stop], nr[stop]
+                inside[done], admissible[done] = ir[stop], ar[stop]
+                if stop.all():
+                    break
+                keep = ~stop
+                rows, t, zr, lr, hr, nr, ir = (x[keep] for x in (rows, t, zr, lr, hr, nr, ir))
+            zr = np.where(ir, nr, 0.5 * (lr + hr))
     found = has_root & admissible & (np.abs(mass - 1.0) <= NORMALIZER_ACCEPT_TOL)
     # one last Newton step from |mass - 1| <= tol lands within rounding of the
     # root, so Z(theta) is smooth to rounding and finite-difference gradients

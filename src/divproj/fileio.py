@@ -46,10 +46,20 @@ def _need(data: dict, key: str, path) -> object:
     return data[key]
 
 
+def _numbers(data: dict, key: str, path, default=None) -> np.ndarray:
+    """The entries under ``key`` as a float array; ``InputError`` naming the
+    key and the file when they are missing, not numbers or ragged."""
+    raw = _need(data, key, path) if default is None else data.get(key, default)
+    try:
+        return np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"non-numeric or ragged entries under {key!r} in {path}") from None
+
+
 def load_distribution(path) -> Distribution:
     data = _load_json(path)
     alphabet = Alphabet(tuple(_need(data, "alphabet", path)))
-    probs = np.asarray(_need(data, "probs", path), dtype=float)
+    probs = _numbers(data, "probs", path)
     return Distribution(alphabet, probs, strict=bool(np.all(probs > 0.0)))
 
 
@@ -80,16 +90,18 @@ def load_family(path) -> FamilySpec:
     except ValueError:
         raise InputError(f"unknown family kind {data.get('kind')!r} in {path}") from None
     alphabet = Alphabet(tuple(_need(data, "alphabet", path)))
-    q = np.asarray(_need(data, "q", path), dtype=float)
-    f = np.asarray(_need(data, "f", path), dtype=float)
-    alpha = float(data.get("alpha", 1.0))
-    return FamilySpec(kind, Distribution(alphabet, q, strict=True), f, alpha=alpha)
+    q = _numbers(data, "q", path)
+    f = _numbers(data, "f", path)
+    alpha = _numbers(data, "alpha", path, default=1.0)
+    if alpha.ndim:
+        raise InputError(f"'alpha' in {path} must be one number")
+    return FamilySpec(kind, Distribution(alphabet, q, strict=True), f, alpha=float(alpha))
 
 
 def load_linear_family(path, alphabet: Alphabet | None = None) -> LinearFamilySpec:
     data = _load_json(path)
-    f = np.asarray(_need(data, "f", path), dtype=float)
-    a = np.asarray(_need(data, "a", path), dtype=float)
+    f = _numbers(data, "f", path)
+    a = _numbers(data, "a", path)
     if "alphabet" in data:
         alphabet = Alphabet(tuple(data["alphabet"]))
     return LinearFamilySpec(f, a, alphabet=alphabet)

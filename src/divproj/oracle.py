@@ -105,7 +105,10 @@ class ThetaGrid:
     def of(cls, lo, hi, steps, k: int = 1) -> "ThetaGrid":
         lo = np.broadcast_to(np.asarray(lo, dtype=float), (k,)).copy()
         hi = np.broadcast_to(np.asarray(hi, dtype=float), (k,)).copy()
-        steps = np.broadcast_to(np.asarray(steps, dtype=int), (k,)).copy()
+        try:
+            steps = np.broadcast_to(np.asarray(steps, dtype=int), (k,)).copy()
+        except OverflowError:
+            raise InputError(f"parameter grid steps {steps!r} are too large") from None
         return cls(lo, hi, steps)
 
     def __post_init__(self):
@@ -155,7 +158,8 @@ def grid_reverse_min(
     probs, ok = eval_members_batch(spec, thetas)
     if not np.any(ok):
         raise NoAdmissibleTheta("no admissible parameter in the grid box")
-    thetas, probs = thetas[ok], probs[ok]
+    if not ok.all():
+        thetas, probs = thetas[ok], probs[ok]
     ph = sample.empirical.probs
     values = divergence_fixed_p(kind, ph, probs, alpha)
     best = int(np.argmin(values))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from divproj.divergences import density_power
-from divproj.errors import NoConvergence
+from divproj import estimators
+from divproj.errors import DomainViolation, NoConvergence, NormalizerNotFound
 from divproj.estimators import (
     EstimatorKind,
     MATCHED_FAMILY,
@@ -13,6 +14,8 @@ from divproj.estimators import (
     score,
     score_matrix,
     solve_estimating_equation,
+    _derivatives,
+    _likelihood_at_rows,
 )
 from divproj.families import (
     FamilyKind,
@@ -140,6 +143,19 @@ class TestLikelihood:
                 lik.append(-np.inf)
                 div.append(np.inf)
         assert int(np.argmax(lik)) == int(np.argmin(div))
+
+    @pytest.mark.parametrize("kind", list(EstimatorKind), ids=lambda k: k.value)
+    def test_scalar_is_the_one_row_case(self, kind):
+        spec, _, sample = matched_instance(kind, seed=7, m=4, k=2)
+        theta = random_admissible_theta(rng_of(7), spec, scale=0.2)
+        rows = _likelihood_at_rows(kind, spec, sample)
+        assert likelihood(kind, spec, theta, sample) == rows(theta[None, :])[0]
+        far = np.array([1e3, -1e3])
+        if spec.kind is not FamilyKind.EXPONENTIAL:
+            # outside the domain: NaN as a row, the member's own error as a scalar
+            assert np.isnan(rows(far[None, :])[0])
+            with pytest.raises((DomainViolation, NormalizerNotFound)):
+                likelihood(kind, spec, far, sample)
 
 
 class TestEstimatingResidual:
@@ -320,3 +336,60 @@ class TestHellingerJonesEquivalence:
             )
             assert np.max(np.abs(r1)) > 1e-7
             assert np.max(np.abs(r2)) > 1e-7
+
+
+class TestLikelihoodStencil:
+    """The likelihood route scores each iteration's whole stencil in one
+    batch, and its five-point gradient is accurate far below the 1e-10
+    stop rule."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("kind", ROBUST_KINDS, ids=lambda k: k.value)
+    def test_stencil_gradient_matches_the_analytic_gradient(self, kind, k):
+        for seed in range(5):
+            spec, _, sample = matched_instance(kind, seed=800 + seed, m=3 + k, k=k)
+            theta = random_admissible_theta(rng_of(seed), spec, scale=0.2)
+            r = estimating_residual(kind, spec, theta, sample)
+            if kind is EstimatorKind.HELLINGER:
+                # the residual is S times the gradient, S = sum Ph^a P^(1-a)
+                p, ph, a = eval_member(spec, theta).probs, sample.empirical.probs, spec.alpha
+                analytic = r / np.sum(ph**a * p ** (1.0 - a))
+            else:
+                analytic = spec.alpha * r
+            g, _ = _derivatives(_likelihood_at_rows(kind, spec, sample), theta)
+            assert np.max(np.abs(g - analytic)) <= 1e-11
+
+    @pytest.mark.parametrize(
+        "kind, seed, k",
+        [(kind, 11, 2) for kind in EstimatorKind] + [(EstimatorKind.MLE, 10, 1), (EstimatorKind.BASU, 11, 1)],
+        ids=lambda v: getattr(v, "value", str(v)),
+    )
+    def test_one_batch_per_iteration_and_no_scalar_likelihood(self, kind, seed, k, monkeypatch):
+        spec, _, sample = matched_instance(kind, seed=seed, m=2 + k, k=k)
+        batches, scalar = [], []
+        batch = estimators.eval_members_batch
+
+        def counting_batch(spec, thetas):
+            batches.append(len(thetas))
+            return batch(spec, thetas)
+
+        monkeypatch.setattr(estimators, "eval_members_batch", counting_batch)
+        monkeypatch.setattr(estimators, "likelihood", lambda *a, **kw: scalar.append(a))
+        rep = maximize_likelihood(kind, spec, sample)
+        # gradient and Hessian stencils of one iteration: 2k+1 centres of 6k
+        # rows; every other batch is one point: the start or a line-search
+        # point
+        rows = (2 * k + 1) * 6 * k
+        assert [n for n in batches if n > 1] == [rows] * rep.iterations
+        assert all(n in (1, rows) for n in batches)
+        assert scalar == []
+
+
+class TestUnderflowIsNumeric:
+    """A trial point whose member underflows to an exact 0 is outside the
+    domain, not an input error."""
+
+    @pytest.mark.parametrize("solver", [solve_estimating_equation, maximize_likelihood])
+    def test_far_start_is_no_convergence(self, solver):
+        with pytest.raises(NoConvergence):
+            solver(EstimatorKind.MLE, BERNOULLI, SAMPLE_7, init=[800.0])

@@ -7,6 +7,7 @@ from divproj.errors import (
     InvalidDistribution,
     NormalizerNotFound,
 )
+from divproj import families
 from divproj.families import (
     FamilyKind,
     FamilySpec,
@@ -22,6 +23,7 @@ from divproj.families import (
     membership_residual,
     normalizer_root,
     theta_of_member,
+    _normalizer_rows,
 )
 from divproj.measures import Alphabet, Distribution, escort
 
@@ -291,3 +293,85 @@ class TestLinearFamily:
             lin = LinearFamilySpec(f, f @ p0.probs, alphabet=p0.alphabet)
             member = lin.sample_member(rng)
             assert lin.contains(member, tol=1e-10)
+
+
+class TestNormalizerRows:
+    """The vectorized normalizer iterates only the rows that have not
+    converged; each row's arithmetic is that of its one-row call."""
+
+    SPEC_Q = Distribution(Alphabet.of_size(3), [0.2, 0.3, 0.5])
+    SPEC_F = np.array([[0.3, -0.5, 0.2], [-0.4, 0.1, 0.3]])
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5, 3.0])
+    def test_rows_are_bit_identical_to_one_row_calls(self, alpha):
+        spec = FamilySpec(FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW, self.SPEC_Q, self.SPEC_F, alpha=alpha)
+        axis = np.linspace(-2.0, 2.0, 41)
+        thetas = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        tilt = thetas @ spec.f
+        z, found, has_root, lo, hi = _normalizer_rows(spec, tilt)
+        assert np.any(found)
+        if alpha > 1.0:
+            # the grid reaches the admissibility edge: rootless rows, and rows
+            # whose root sits within 1e-3 of the edge (hi)
+            assert np.any(~has_root)
+            assert np.any(found & (hi - z < 1e-3))
+        for i, theta in enumerate(thetas):
+            one = _normalizer_rows(spec, tilt[i : i + 1])
+            for got, expected in zip((z, found, has_root, lo, hi), one):
+                assert np.array_equal(got[i : i + 1], expected, equal_nan=got.dtype.kind == "f")
+            try:
+                assert np.array_equal(z[i], normalizer_root(spec, theta))
+                assert found[i]
+            except NormalizerNotFound as err:
+                assert not found[i]
+                assert np.array_equal(err.interval, (lo[i], hi[i]), equal_nan=True)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 7, 8, 9])
+    def test_column_reductions_match_numpy_bit_for_bit(self, m):
+        x = rng_of(m).normal(size=(families.ROW_LOOP_MIN + 37, m))
+        x[3, 1] = np.nan
+        for ufunc in (np.add, np.minimum, np.maximum):
+            assert np.array_equal(families._by_row(ufunc, x), ufunc.reduce(x, axis=1), equal_nan=True)
+        assert np.array_equal(families._by_row(np.logical_and, x > 0.0), (x > 0.0).all(axis=1))
+
+    def test_converged_rows_leave_the_iteration(self, monkeypatch):
+        # the family of op 58 of the estimate benchmark (seed 1): Basu at
+        # alpha = 3, k = 2, on its 301 x 301 oracle grid.  Iterating every
+        # row until the slowest converges evaluated 33 n rows.
+        q = Distribution(Alphabet.of_size(4), [0.15, 0.22626641375235912, 0.3475163877630808, 0.2762171984845601])
+        f = np.array([
+            [-0.00014194970620997761, -0.02965470919016319, 0.06910468346888396, -0.03930802457251083],
+            [-0.008099009943905184, -0.05950491169223625, 0.008224368944177293, 0.05937955269196414],
+        ])
+        spec = FamilySpec(FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW, q, f, alpha=3.0)
+        axis = np.linspace(-3.0, 3.0, 301)
+        thetas = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        rows = []
+        bracket = families._bracket
+
+        def counting(spec, tilt, z=0.0):
+            rows.append(len(tilt))
+            return bracket(spec, tilt, z)
+
+        monkeypatch.setattr(families, "_bracket", counting)
+        _normalizer_rows(spec, thetas @ spec.f)
+        assert sum(rows) <= 3 * len(thetas)
+
+
+class TestUnderflow:
+    """A member that underflows to an exact 0 is a numeric failure: every
+    member has full support."""
+
+    BERNOULLI = FamilySpec(FamilyKind.EXPONENTIAL, Q_UNIFORM2, F_COUNT)
+
+    def test_scalar_raises_domain_violation_naming_the_symbol(self):
+        with pytest.raises(DomainViolation) as err:
+            eval_member(self.BERNOULLI, [800.0])
+        assert err.value.symbols == ("a",)
+        assert not is_admissible(self.BERNOULLI, [800.0])
+
+    def test_batch_marks_the_row_inadmissible(self):
+        probs, ok = eval_members_batch(self.BERNOULLI, np.array([[0.0], [800.0], [-800.0]]))
+        assert ok.tolist() == [True, False, False]
+        assert np.all(probs[0] > 0.0)
+        assert np.isnan(probs[1, 0]) and np.isnan(probs[2, 1])

@@ -341,6 +341,42 @@ class TestCLI:
         assert code == 2
         assert "exceeds" in json.loads(out)["message"]
 
+    @pytest.mark.parametrize("route", ["eq", "lik"])
+    def test_underflowing_start_exit_one(self, capsys, files, route):
+        # at theta = 800 the member's mass on "a" underflows to 0
+        code, out, err = self.run(
+            capsys, "estimate", "--kind", "mle", "--family", files["fam"], "--sample", files["smp"],
+            "--route", route, "--init", "800",
+        )
+        assert code == 1
+        assert json.loads(out)["error"] == "NoConvergence"
+        assert "Traceback" not in err
+
+    def test_non_numeric_entries_exit_two(self, capsys, files, tmp_path):
+        bad_p = tmp_path / "bad_p.json"
+        bad_p.write_text(json.dumps({"alphabet": ["a", "b"], "probs": [0.2, "y"]}))
+        bad_lin = tmp_path / "bad_lin.json"
+        bad_lin.write_text(json.dumps({"f": [["x", 0]], "a": [0.5]}))
+        for argv, key in (
+            (["divergence", "--kind", "kl", "--p", str(bad_p), "--q", files["q"]], "'probs'"),
+            (["project", "forward", "--alpha", "2", "--q", files["q"], "--linear", str(bad_lin)], "'f'"),
+        ):
+            code, out, err = self.run(capsys, *argv)
+            assert code == 2
+            report = json.loads(out)
+            assert report["error"] == "InputError"
+            assert key in report["message"]
+            assert "Traceback" not in err
+
+    def test_overflowing_grid_steps_exit_two(self, capsys, files):
+        code, out, err = self.run(
+            capsys, "oracle", "reverse", "--kind", "kl", "--family", files["fam"], "--sample", files["smp"],
+            "--box=-1:1:99999999999999999999",
+        )
+        assert code == 2
+        assert json.loads(out)["error"] == "InputError"
+        assert "Traceback" not in err
+
     def test_text_format(self, capsys, files):
         code, out, _ = self.run(
             capsys, "--format", "text", "divergence", "--kind", "dpd", "--alpha", "2", "--p", files["p"], "--q", files["q"]
