@@ -82,11 +82,10 @@ class NoConvergence(NumericFailure):
     Carries the best iterate seen so that callers can emit partial reports.
     """
 
-    def __init__(self, message, best_theta=None, best_residual=None, report=None):
+    def __init__(self, message, best_theta=None, best_residual=None):
         super().__init__(message)
         self.best_theta = best_theta
         self.best_residual = best_residual
-        self.report = report
 
 
 class EmptyFeasibleGrid(NumericFailure):

@@ -23,7 +23,7 @@ import enum
 
 import numpy as np
 
-from .errors import NoConvergence
+from .errors import DomainViolation
 from .families import (
     FamilyKind,
     FamilySpec,
@@ -36,7 +36,6 @@ from .measures import SampleData, check_alpha, empirical_weights
 from .solvers import (
     MAX_ITER,
     RESIDUAL_TOL,
-    THETA_CAP,
     Route,
     SolveReport,
     solve_residual,
@@ -196,16 +195,14 @@ def solve_estimating_equation(
 
 
 # The likelihood route's finite differences.  The gradient is the five-point
-# stencil at step s = GRADIENT_STEP (1 + |theta_j|); at theta it is trusted
-# when it agrees within STENCIL_TOL with the stencil at 2s (its truncation
-# error is 1/15 of that gap), and otherwise recomputed with s divided by 4,
-# at most STENCIL_SHRINKS times, until it does or the gap stops shrinking
-# (rounding then dominates); 5e-4 / 4^9 stays below the 1.6e-8 that the
-# central differences this replaced shrank to.  A stencil that meets an
-# inadmissible row is shrunk the same way.  The Hessian differences gradients at theta +-
-# CURVATURE_STEP (1 + |theta_j|) e_j.
+# stencil at step s = GRADIENT_STEP (1 + |theta_j|); it is trusted when it
+# agrees within STENCIL_TOL with the stencil at 2s (its truncation error is
+# 1/15 of that gap), and otherwise recomputed with s divided by 4, at most
+# STENCIL_SHRINKS times, until it does or the gap stops shrinking (rounding
+# then dominates); 5e-4 / 4^9 stays below the 1.6e-8 that the central
+# differences this replaced shrank to.  A stencil that meets an inadmissible
+# row is shrunk the same way.
 GRADIENT_STEP = 5e-4
-CURVATURE_STEP = 1e-4
 STENCIL_TOL = 1e-10
 STENCIL_SHRINKS = 9
 _STENCIL = np.array([4.0, 2.0, 1.0, -1.0, -2.0, -4.0])
@@ -219,23 +216,20 @@ def _stencil_gradients(v: np.ndarray, s):
     return v[..., _FINE] @ _WEIGHTS / s, v[..., _COARSE] @ _WEIGHTS / (2.0 * s)
 
 
-def _gradient_alone(values, centre: np.ndarray, j: int, s: float, first=None) -> float:
-    """Coordinate j of the gradient at ``centre`` from its own stencils at
-    steps s/4, s/16, ..., the batch having scored step s.  Without ``first``
-    it is the first of them whose rows are all admissible.  ``first`` is the
-    batch's (derivative, gap between steps s and 2s) at theta; with it, the
-    result is the first stencil whose gap is within STENCIL_TOL, else the one
-    of smallest gap, the batch's included, once the gaps stop shrinking.  NaN
-    when every stencil meets an inadmissible row."""
-    unit = np.eye(centre.size)[j]
-    best, best_gap = np.nan, np.inf
-    if first is not None and not np.isnan(first[1]):
-        best, best_gap = float(first[0]), first[1]
+def _gradient_alone(values, theta: np.ndarray, j: int, s: float, best: float, best_gap: float) -> float:
+    """Coordinate j of the gradient at theta from its own stencils at steps
+    s/4, s/16, ..., the batch having scored step s: ``best`` is its
+    derivative and ``best_gap`` its gap to the step-2s stencil (NaN when a
+    row was inadmissible).  The result is the first stencil whose gap is
+    within STENCIL_TOL, else the one of smallest gap, the batch's included,
+    once the gaps stop shrinking; NaN when every stencil meets an
+    inadmissible row."""
+    unit = np.eye(theta.size)[j]
+    if np.isnan(best_gap):
+        best, best_gap = np.nan, np.inf
     for _ in range(STENCIL_SHRINKS):
         s *= 0.25
-        fine, coarse = _stencil_gradients(values(centre + (s * _STENCIL)[:, None] * unit), s)
-        if first is None and not np.isnan(fine):
-            return float(fine)
+        fine, coarse = _stencil_gradients(values(theta + (s * _STENCIL)[:, None] * unit), s)
         gap = abs(fine - coarse)
         if gap <= STENCIL_TOL:
             return float(fine)
@@ -246,42 +240,32 @@ def _gradient_alone(values, centre: np.ndarray, j: int, s: float, first=None) ->
     return best
 
 
-def _derivatives(values, theta: np.ndarray):
-    """Gradient and Hessian of the likelihood ``values`` at theta, from one
-    batch of parameter rows.
+def _gradient(values, theta: np.ndarray) -> np.ndarray:
+    """Gradient of the likelihood ``values`` at theta, from one batch of 6k
+    parameter rows: theta + t s_j e_j, t = 4, 2, 1, -1, -2, -4, for each
+    coordinate j in turn, with s_j = GRADIENT_STEP (1 + |theta_j|).
 
-    The batch stacks 2k+1 centres: theta, then theta + H_j e_j for each j,
-    then theta - H_j e_j, with H_j = CURVATURE_STEP (1 + |theta_j|).  Each
-    centre c adds the 6k rows c + t s_i e_i, t = 4, 2, 1, -1, -2, -4 for each
-    coordinate i in turn, with s_i = GRADIENT_STEP (1 + |c_i|).  The gradient
-    at c is the five-point (-L(2s) + 8 L(s) - 8 L(-s) + L(-2s)) / 12s; at
-    theta it is checked against the same stencil at 2s.  Column j of the
-    Hessian is the difference of the gradients at theta +- H_j e_j over
-    2 H_j, symmetrized.  A coordinate that fails its check, or whose stencil
-    meets an inadmissible row, is recomputed alone (``_gradient_alone``).
-
-    Returns ``(gradient, hessian)``; ``hessian`` is None when one of its
-    gradients cannot be formed.  Raises ``NoConvergence`` when the gradient
-    at theta cannot.
+    Coordinate j is the five-point (-L(2s) + 8 L(s) - 8 L(-s) + L(-2s)) / 12s,
+    checked against the same stencil at 2s.  A coordinate that fails its
+    check, or whose stencil meets an inadmissible row, is recomputed alone
+    (``_gradient_alone``), unless theta's own row is inadmissible.  Raises
+    ``DomainViolation`` then, or when a coordinate cannot be formed, so that
+    a solver treats theta as inadmissible.
     """
     k = theta.size
-    eye = np.eye(k)
-    offset = CURVATURE_STEP * (1.0 + np.abs(theta))
-    centres = np.vstack([theta, theta + offset[:, None] * eye, theta - offset[:, None] * eye])
-    s = GRADIENT_STEP * (1.0 + np.abs(centres))
-    rows = centres[:, None, None, :] + (s[:, :, None, None] * _STENCIL[:, None]) * eye[None, :, None, :]
-    grads, coarse = _stencil_gradients(values(rows.reshape(-1, k)).reshape(2 * k + 1, k, 6), s)
-    gaps = np.abs(grads[0] - coarse[0])
+    s = GRADIENT_STEP * (1.0 + np.abs(theta))
+    rows = theta + (s[:, None, None] * _STENCIL[:, None]) * np.eye(k)[:, None, :]
+    grad, coarse = _stencil_gradients(values(rows.reshape(-1, k)).reshape(k, 6), s)
+    gaps = np.abs(grad - coarse)
+    if np.isnan(gaps).any() and np.isnan(values(theta[None, :])[0]):
+        # no gradient where the likelihood is undefined; the ladder would
+        # shrink every stencil STENCIL_SHRINKS times to find that out
+        raise DomainViolation("gradient at an inadmissible point")
     for j in np.flatnonzero(~(gaps <= STENCIL_TOL)):
-        grads[0, j] = _gradient_alone(values, theta, j, s[0, j], first=(grads[0, j], gaps[j]))
-        if np.isnan(grads[0, j]):
-            raise NoConvergence("gradient stencil left the admissible region", best_theta=theta)
-    for c, j in np.argwhere(np.isnan(grads[1:])):
-        grads[c + 1, j] = _gradient_alone(values, centres[c + 1], j, s[c + 1, j])
-    hessian = (grads[1 : k + 1] - grads[k + 1 :]).T / (2.0 * offset)
-    if np.isnan(hessian).any():
-        return grads[0], None
-    return grads[0], 0.5 * (hessian + hessian.T)
+        grad[j] = _gradient_alone(values, theta, j, s[j], grad[j], gaps[j])
+    if np.isnan(grad).any():
+        raise DomainViolation("gradient stencil left the admissible region")
+    return grad
 
 
 def maximize_likelihood(
@@ -293,111 +277,33 @@ def maximize_likelihood(
     tol: float = RESIDUAL_TOL,
     max_iter: int = MAX_ITER,
 ) -> SolveReport:
-    """Quasi-Newton ascent on the likelihood value.
+    """Newton ascent on the likelihood: ``solve_residual`` on its gradient.
 
-    Independent of the residual solver: gradients and curvature come from
-    finite differences of the likelihood itself, the line search is an
-    Armijo backtrack on the likelihood value, and convergence is declared
-    on the gradient's infinity norm.  Each iteration scores its whole
-    stencil, the gradient's at theta and at the Hessian's 2k centres
-    ((2k+1) 6k rows, in the order ``_derivatives`` gives), with one
-    ``eval_members_batch`` and one ``likelihood_rows`` call; a row whose
-    member is not admissible counts as outside the domain, and the line
-    search scores one row per call the same way.  The five-point gradient at
-    step 5e-4 (1 + |theta_j|), checked against step 1e-3, errs by about
-    1e-12, far below the 1e-10 stop rule.
+    Independent of the estimating equation in what it solves: the residual
+    is the finite-difference gradient of the likelihood value
+    (``_gradient``), not the analytic score, and the likelihood itself is
+    the objective that guards the line search.  Only the globalization is
+    shared with the equation routes: the Jacobian is the driver's central
+    differences of the gradient, a trial point is accepted when ||grad||^2
+    falls enough or the likelihood rises, and convergence is declared on
+    the gradient's infinity norm.  Each gradient scores its 6k-row stencil
+    with one ``eval_members_batch`` and one ``likelihood_rows`` call, and
+    each likelihood value one row; a row whose member is not admissible
+    counts as outside the domain.  The five-point gradient at step
+    5e-4 (1 + |theta_j|), checked against step 1e-3, errs by about 1e-12,
+    far below the 1e-10 stop rule.
     """
     kind = EstimatorKind(kind)
     note = "" if is_matched_pair(kind, spec) else "unmatched pair, no equivalence guarantee"
-    theta = np.zeros(spec.theta_dim) if init is None else np.asarray(init, dtype=float).copy()
     values = _likelihood_at_rows(kind, spec, sample, alpha)
-
-    def value(t):
-        return values(t[None, :])[0]
-
-    def newton_step(g, h_mat):
-        if h_mat is not None:
-            try:
-                eigvals = np.linalg.eigvalsh(h_mat)
-                if np.all(eigvals < -1e-12):
-                    return np.linalg.solve(h_mat, -g)
-            except np.linalg.LinAlgError:
-                pass
-        return g / max(1.0, np.max(np.abs(g)))
-
-    v = value(theta)
-    if np.isnan(v):
-        raise NoConvergence("likelihood start is inadmissible", best_theta=theta)
-    trace = [(theta.copy(), np.inf)]
-    iters = 0
-    stalled = False
-    for it in range(1, max_iter + 1):
-        iters = it
-        if float(np.max(np.abs(theta))) > THETA_CAP:
-            raise NoConvergence(
-                "iterates escaped the solver box (supremum may be at infinity)",
-                best_theta=theta,
-            )
-        g, h_mat = _derivatives(values, theta)
-        gnorm = float(np.max(np.abs(g)))
-        trace.append((theta.copy(), gnorm))
-        if gnorm <= tol:
-            break
-        step = newton_step(g, h_mat)
-        t_len = 1.0
-        accepted = False
-        for _ in range(31):
-            cand = theta + t_len * step
-            vc = value(cand)
-            if vc > v:  # False for an inadmissible (NaN) candidate
-                theta, v = cand, vc
-                accepted = True
-                break
-            t_len *= 0.5
-        if not accepted:
-            stalled = True
-            break
-    else:
-        raise NoConvergence(
-            "likelihood ascent hit the iteration cap (supremum may be at infinity)",
-            best_theta=theta,
-            best_residual=float(np.max(np.abs(_derivatives(values, theta)[0]))),
-        )
-    # Value improvements die in float rounding while the gradient is still
-    # above tol; polish by Newton on the gradient itself, accepting steps
-    # that shrink the gradient norm.  g and h_mat are at theta: the loop
-    # left it unchanged since computing them.
-    if stalled and gnorm > tol:
-        for _ in range(30):
-            step = newton_step(g, h_mat)
-            t_len = 1.0
-            improved = False
-            for _ in range(20):
-                cand = theta + t_len * step
-                if not np.isnan(value(cand)):
-                    gc, hc = _derivatives(values, cand)
-                    gc_norm = float(np.max(np.abs(gc)))
-                    if gc_norm < gnorm:
-                        theta, g, h_mat, gnorm = cand, gc, hc, gc_norm
-                        improved = True
-                        break
-                t_len *= 0.5
-            iters += 1
-            trace.append((theta.copy(), gnorm))
-            if gnorm <= tol or not improved:
-                break
-    if gnorm > 10.0 * tol:
-        raise NoConvergence(
-            f"likelihood ascent finished with non-vanishing gradient {gnorm:.3e}",
-            best_theta=theta,
-            best_residual=gnorm,
-        )
-    return SolveReport(
-        theta_star=theta,
-        p_star=eval_member(spec, theta),
-        residual_norm=gnorm,
-        iterations=iters,
-        trace=tuple((t.copy(), n) for t, n in trace),
+    return solve_residual(
+        lambda t: _gradient(values, t),
+        spec.theta_dim,
+        init=init,
+        tol=tol,
+        max_iter=max_iter,
         route=Route.LIKELIHOOD_MAX,
+        member_fn=lambda t: eval_member(spec, t),
         note=note,
+        objective=lambda t: values(t[None, :])[0],
     )

@@ -210,7 +210,9 @@ def _members(spec: FamilySpec, thetas: np.ndarray, z=None):
         np.exp(w, out=w)
         total = _by_row(np.add, w)
         w /= total[:, None]
-        z, ok = total * np.exp(shift), np.ones(len(tilt), dtype=bool)
+        with np.errstate(over="ignore"):  # Z = inf is right for a far theta
+            z = total * np.exp(shift)
+        ok = np.ones(len(tilt), dtype=bool)
     else:
         found = True
         if spec.kind is FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW:

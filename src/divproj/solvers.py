@@ -1,12 +1,17 @@
-"""Damped-Newton root solving for estimating/projection equation residuals.
+"""Damped-Newton root solving, the one driver of every theta route.
 
-One Newton run from the caller's start (default theta = 0, where P_theta = Q
-is admissible); an inadmissible start raises ``NoConvergence``.  Jacobians
-are central finite differences (step 1e-6*(1+|theta_j|)); damping is Armijo
-backtracking on ||residual||^2 with factor 0.5 and at most 30 halvings.  An
-estimating residual is a positive multiple of its likelihood's gradient, so
-that route also accepts steps on which the likelihood rises: on the ||r||^2
-merit alone, Newton can walk off along a ray where the residual flattens.
+The estimating, projection and likelihood routes each hand it their own
+residual: the analytic score equation, the moment equation, and the
+likelihood's finite-difference gradient.  One Newton run goes from the
+caller's start (default theta = 0, where P_theta = Q is admissible); an
+inadmissible start raises ``NoConvergence``.  Jacobians are central finite
+differences (step 1e-6*(1+|theta_j|)); damping is Armijo backtracking on
+||residual||^2 with factor 0.5 and at most 30 halvings.  A residual that is
+a positive multiple of a likelihood's gradient comes with that likelihood
+as ``objective``, and steps on which it rises are accepted too: on the
+||r||^2 merit alone, Newton can walk off along a ray where the residual
+flattens.  A residual that raises ``DomainViolation`` or
+``NormalizerNotFound`` marks its point as inadmissible.
 """
 
 from __future__ import annotations
@@ -105,7 +110,10 @@ def solve_residual(
     the residual scaled to unit infinity norm (the line search only shrinks
     a step, and ||r|| is tiny where the objective is flat), and a trial
     point the ||r||^2 test rejects is accepted when the objective rises
-    strictly.
+    strictly.  A run that stops short of ``tol`` raises ``NoConvergence``
+    naming why: the iterate left the box |theta_j| <= THETA_CAP, the
+    Jacobian stencil left the admissible region, the line search ran out
+    of halvings, or the iteration cap was hit.
     """
     theta = np.zeros(theta_dim) if init is None else np.asarray(init, dtype=float).copy()
     r = _try_residual(residual_fn, theta)
@@ -114,15 +122,18 @@ def solve_residual(
     norm = float(np.max(np.abs(r)))
     trace = [(theta.copy(), norm)]
     value = None  # objective at theta, evaluated only when needed
-    iters = max_iter
+    iters, reason = max_iter, "hit the iteration cap"
     for it in range(1, max_iter + 1):
-        if norm <= tol or float(np.max(np.abs(theta))) > THETA_CAP:
+        if norm <= tol:
             iters = it - 1
+            break
+        if float(np.max(np.abs(theta))) > THETA_CAP:
+            iters, reason = it - 1, f"iterates escaped the solver box |theta| <= {THETA_CAP:g} (a supremum may lie at infinity)"
             break
         try:
             jac = fd_jacobian(residual_fn, theta, r0=r)
         except DomainViolation:
-            iters = it - 1
+            iters, reason = it - 1, "the Jacobian stencil left the admissible region"
             break
         try:
             step = np.linalg.solve(jac, -r)
@@ -148,13 +159,13 @@ def solve_residual(
                         break
             t *= ARMIJO_FACTOR
         else:
-            iters = it
+            iters, reason = it, "the line search ran out of halvings"
             break
         norm = float(np.max(np.abs(r)))
         trace.append((theta.copy(), norm))
     if norm > tol:
         raise NoConvergence(
-            f"residual stalled at {norm:.3e} after {iters} iterations",
+            f"residual stalled at {norm:.3e} after {iters} iterations: {reason}",
             best_theta=theta,
             best_residual=norm,
         )

@@ -370,6 +370,12 @@ class TestUnderflow:
         assert err.value.symbols == ("a",)
         assert not is_admissible(self.BERNOULLI, [800.0])
 
+    @pytest.mark.filterwarnings("error")
+    def test_far_member_raises_without_an_overflow_warning(self):
+        # Z overflows to inf there, which is its value; numpy must not warn
+        with pytest.raises(DomainViolation):
+            eval_member(self.BERNOULLI, [800.0])
+
     def test_batch_marks_the_row_inadmissible(self):
         probs, ok = eval_members_batch(self.BERNOULLI, np.array([[0.0], [800.0], [-800.0]]))
         assert ok.tolist() == [True, False, False]
