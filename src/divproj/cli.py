@@ -166,7 +166,7 @@ def _cmd_divergence(args, cfg):
     p = load_distribution(args.p)
     q = load_distribution(args.q)
     value = divergence(_KIND_ALIASES[args.kind], p, q, alpha=args.alpha)
-    return {"command": "divergence", "kind": args.kind, "alpha": args.alpha, "value": value}
+    return {"kind": args.kind, "alpha": args.alpha, "value": value}
 
 
 def _cmd_family_eval(args, cfg):
@@ -174,7 +174,6 @@ def _cmd_family_eval(args, cfg):
     theta = _parse_vector(args.theta)
     p, z = member_with_normalizer(spec, theta)
     return {
-        "command": "family.eval",
         "kind": spec.kind.value,
         "theta": theta,
         "p_theta": p.probs,
@@ -188,7 +187,6 @@ def _cmd_estimate(args, cfg):
     kind = EstimatorKind(args.kind)
     init = _parse_vector(args.init) if args.init else None
     out = {
-        "command": "estimate",
         "kind": kind.value,
         "alpha": args.alpha if args.alpha is not None else spec.alpha,
         "matched_family": is_matched_pair(kind, spec),
@@ -223,7 +221,6 @@ def _cmd_project_forward(args, cfg):
     lin = load_linear_family(args.linear, alphabet=q.alphabet)
     res = forward_dpd_projection(q, lin, args.alpha)
     out = {
-        "command": "project.forward",
         "alpha": args.alpha,
         "p_star": res.p_star.probs,
         "theta": res.theta,
@@ -250,7 +247,6 @@ def _cmd_project_reverse(args, cfg):
     sample = load_sample(args.sample, alphabet=spec.alphabet)
     res = reverse_dpd_projection(sample, spec, membership_tol=cfg.membership_tol)
     return {
-        "command": "project.reverse",
         "alpha": spec.alpha,
         "p_star": res.p_star.probs,
         "theta": res.theta,
@@ -274,7 +270,6 @@ def _cmd_verify_pythagoras(args, cfg):
         gaps.append(pythagorean_gap(member, res.p_star, q, args.alpha))
     gaps = np.asarray(gaps)
     return {
-        "command": "verify.pythagoras",
         "alpha": args.alpha,
         "trials": args.trials,
         "p_star": res.p_star.probs,
@@ -292,7 +287,6 @@ def _cmd_suffstat(args, cfg):
     alpha = args.alpha if args.alpha is not None else spec.alpha
     stat = sufficient_statistic(model, sample, spec.q, spec.f, alpha=alpha)
     return {
-        "command": "suffstat",
         "model": args.model,
         "alpha": alpha,
         "value": stat.value,
@@ -311,7 +305,6 @@ def _cmd_suffcheck(args, cfg):
     grid = ThetaGrid.of(lo, hi, steps, k=spec.theta_dim).points()
     report = factorization_check(spec, sample_a, sample_b, grid)
     return {
-        "command": "suffcheck",
         "model": args.model,
         "t_a": report.t_a,
         "t_b": report.t_b,
@@ -327,7 +320,6 @@ def _cmd_oracle_forward(args, cfg):
     grid = SimplexGrid(q.m, args.resolution)
     p_best, value = grid_forward_min(_KIND_ALIASES[args.kind], args.alpha, q, lin, grid)
     return {
-        "command": "oracle.forward",
         "kind": args.kind,
         "alpha": args.alpha,
         "resolution": args.resolution,
@@ -345,7 +337,6 @@ def _cmd_oracle_reverse(args, cfg):
         _KIND_ALIASES[args.kind], args.alpha, sample, spec, grid
     )
     return {
-        "command": "oracle.reverse",
         "kind": args.kind,
         "alpha": args.alpha,
         "theta_best": theta_best,
@@ -367,7 +358,6 @@ def _cmd_sample(args, cfg):
     if args.out:
         save_sample(args.out, sample)
     return {
-        "command": "sample",
         "n": sample.n,
         "counts": sample.counts,
         "empirical": sample.empirical.probs,
@@ -486,9 +476,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _command_name(args) -> str:
+    """The subcommand path as reports name it: ``oracle.reverse``, ``estimate``."""
+    sub = getattr(args, f"{args.command}_command", None)
+    return f"{args.command}.{sub}" if sub else args.command
+
+
 def _failure_report(args, exc, cfg) -> dict:
     report = {
-        "command": args.command,
+        "command": _command_name(args),
         "error": type(exc).__name__,
         "message": str(exc),
         "seed": cfg.rng_seed,
@@ -525,6 +521,7 @@ def main(argv=None) -> int:
     except NumericFailure as exc:
         _emit(_failure_report(args, exc, cfg), cfg)
         return 1
+    report["command"] = _command_name(args)
     report["seed"] = cfg.rng_seed
     _emit(report, cfg)
     return 0

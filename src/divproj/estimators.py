@@ -178,6 +178,8 @@ def solve_estimating_equation(
     kind = EstimatorKind(kind)
     note = "" if is_matched_pair(kind, spec) else "unmatched pair, no equivalence guarantee"
 
+    values = _likelihood_at_rows(kind, spec, sample, alpha)
+
     def residual(theta):
         return estimating_residual(kind, spec, theta, sample, alpha=alpha)
 
@@ -190,7 +192,7 @@ def solve_estimating_equation(
         route=Route.ESTIMATING_EQ,
         member_fn=lambda t: eval_member(spec, t),
         note=note,
-        objective=lambda t: likelihood(kind, spec, t, sample, alpha=alpha),
+        objective=lambda t: values(t[None, :])[0],
     )
 
 

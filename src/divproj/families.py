@@ -434,15 +434,13 @@ def membership_residual(spec: FamilySpec, p: Distribution) -> float:
     return fit[-1]
 
 
-def fit_family_form(spec: FamilySpec, probs: np.ndarray, support=None):
+def fit_family_form(spec: FamilySpec, probs: np.ndarray):
     """Least-squares fit of (theta, Z-like constant) to the defining form.
 
     Returns ``(theta, const, residual)`` where ``residual`` is the RMS
-    misfit of the linear relation divided by the RMS of its target.  The
-    optional boolean ``support`` restricts the fit to a sub-alphabet (used
-    by clamped forward projections).
+    misfit of the linear relation divided by the RMS of its target.
     """
-    return _fit_form(spec.kind, spec.alpha, spec.q.probs, spec.f, probs, support)
+    return _fit_form(spec.kind, spec.alpha, spec.q.probs, spec.f, probs)
 
 
 def _fit_form(kind: FamilyKind, a: float, q: np.ndarray, f: np.ndarray, probs: np.ndarray, support=None):

@@ -8,8 +8,8 @@ parallel evaluation would have to reduce in grid order to match.
 
 The oracles evaluate no formula of their own: grid rows go through the same
 row kernels as the scalar calls (``divergence_rows`` for the divergences,
-``eval_members_batch`` for family members, ``likelihood_rows`` for the
-matched likelihoods), so brute force and solvers cannot drift apart.
+``eval_members_batch`` for family members), so brute force and solvers
+cannot drift apart.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergences import DivergenceKind, divergence_fixed_p, divergence_rows
-from .errors import CertificateMismatch, EmptyFeasibleGrid, InputError, NoAdmissibleTheta
-from .estimators import EstimatorKind, likelihood_rows
+from .errors import EmptyFeasibleGrid, InputError, NoAdmissibleTheta
+from .estimators import EstimatorKind
 from .families import FamilySpec, LinearFamilySpec, eval_members_batch
 from .measures import Distribution, SampleData
 
@@ -112,6 +112,10 @@ class ThetaGrid:
         return cls(lo, hi, steps)
 
     def __post_init__(self):
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(self.lo) & np.isfinite(self.hi) & np.isfinite(self.hi - self.lo)
+        if not finite.all():
+            raise InputError("parameter grid bounds and their widths must be finite")
         if np.any(self.steps < 1):
             raise InputError("parameter grid needs at least one step per dimension")
         count = math.prod(int(s) for s in self.steps)
@@ -137,8 +141,6 @@ MATCHED_DIVERGENCE = {
     EstimatorKind.JONES: DivergenceKind.REL_ALPHA_ENTROPY,
 }
 
-_LIKELIHOOD_OF_DIVERGENCE = {v: k for k, v in MATCHED_DIVERGENCE.items()}
-
 
 def grid_reverse_min(
     kind: DivergenceKind,
@@ -147,12 +149,8 @@ def grid_reverse_min(
     spec: FamilySpec,
     theta_grid: ThetaGrid,
 ):
-    """Exhaustive reverse-projection argmin over an admissible parameter grid.
-
-    Cross-checks that the matched likelihood attains its grid maximum at
-    the same point before returning ``(theta_best, value)``; raises
-    ``CertificateMismatch`` carrying both grid points otherwise.
-    """
+    """Exhaustive reverse-projection argmin over an admissible parameter
+    grid: ``(theta_best, value)`` at the first lowest D(P_hat, P_theta)."""
     kind = DivergenceKind(kind)
     thetas = theta_grid.points()
     probs, ok = eval_members_batch(spec, thetas)
@@ -163,11 +161,4 @@ def grid_reverse_min(
     ph = sample.empirical.probs
     values = divergence_fixed_p(kind, ph, probs, alpha)
     best = int(np.argmin(values))
-    lik = likelihood_rows(_LIKELIHOOD_OF_DIVERGENCE[kind], probs, ph, alpha)
-    best_lik = int(np.argmax(lik))
-    if best_lik != best:
-        raise CertificateMismatch(
-            "matched likelihood argmax and divergence argmin disagree on the grid",
-            values=(thetas[best], thetas[best_lik]),
-        )
     return thetas[best], float(values[best])

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import DivergenceKind, density_power
+from .divergences import DivergenceKind, density_power, divergence_rows
 from .errors import DomainError, InfeasibleError, NoConvergence
 from .families import (
     FamilyKind,
@@ -277,13 +277,7 @@ def _fallback_projection(qv, lin, alpha):
     m = lin.m
 
     def objective(p):
-        p = np.clip(p, 1e-300, None)
-        cross = float(np.sum(p * qv ** (alpha - 1.0)))
-        return (
-            alpha / (1.0 - alpha) * cross
-            - float(np.sum(p**alpha)) / (1.0 - alpha)
-            + float(np.sum(qv**alpha))
-        )
+        return float(divergence_rows(DivergenceKind.DENSITY_POWER, np.clip(p, 1e-300, None), qv, alpha))
 
     cons = [
         {"type": "eq", "fun": lambda p: lin.f @ p - lin.a},

@@ -377,6 +377,64 @@ class TestCLI:
         assert json.loads(out)["error"] == "InputError"
         assert "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("box", ["nan:1:5", "-1:inf:5", "-1e308:1e308:5"])
+    def test_nonfinite_parameter_box_exit_two(self, capsys, files, tmp_path, box):
+        pow_fam = tmp_path / "pow.json"
+        pow_fam.write_text(json.dumps(
+            {"kind": "alpha_power_law", "alpha": 2, "q": [0.5, 0.5], "f": [[-0.5, 0.5]], "alphabet": ["a", "b"]}
+        ))
+        for argv in (
+            ["oracle", "reverse", "--kind", "kl", "--family", files["fam"], "--sample", files["smp"], f"--box={box}"],
+            ["oracle", "reverse", "--kind", "rae", "--alpha", "2", "--family", str(pow_fam), "--sample", files["smp"],
+             f"--box={box}"],
+            ["suffcheck", "--model", "exp", "--family", files["fam"], "--sample-a", files["smp"],
+             "--sample-b", files["smp_b"], f"--grid={box}"],
+        ):
+            code, out, err = self.run(capsys, *argv)
+            assert code == 2
+            report = json.loads(out)
+            assert report["error"] == "InputError"
+            assert "finite" in report["message"]
+            assert "Warning" not in err
+
+    def test_exact_tie_on_the_reverse_grid_exit_zero(self, capsys, tmp_path):
+        # theta and -theta tie on this symmetric family and sample
+        fam = tmp_path / "pow.json"
+        fam.write_text(json.dumps(
+            {"kind": "alpha_power_law", "alpha": 2, "q": [0.5, 0.5], "f": [[-0.5, 0.5]], "alphabet": ["a", "b"]}
+        ))
+        smp = tmp_path / "even.json"
+        smp.write_text(json.dumps({"alphabet": ["a", "b"], "observations": list("aaaaabbbbb")}))
+        code, out, _ = self.run(
+            capsys, "oracle", "reverse", "--kind", "rae", "--alpha", "2", "--family", str(fam), "--sample", str(smp),
+            "--box=-0.4:0.4:1002",
+        )
+        assert code == 0
+        assert abs(json.loads(out)["theta_best"][0]) == pytest.approx(0.0003996003996, rel=1e-11)
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["family", "eval", "--spec", "{nn}", "--theta=9"], "family.eval"),
+            (["estimate", "--kind", "mle", "--family", "{fam}", "--sample", "{degenerate}", "--route", "lik"],
+             "estimate"),
+            (["project", "forward", "--alpha", "2", "--q", "{q}", "--linear", "{lin}"], "project.forward"),
+            (["project", "reverse", "--alpha", "3", "--family", "{nn}", "--sample", "{smp}"], "project.reverse"),
+            (["verify", "pythagoras", "--alpha", "2", "--q", "{q3}", "--linear", "{lin}", "--trials=0"],
+             "verify.pythagoras"),
+            (["oracle", "forward", "--kind", "kl", "--q", "{q3}", "--resolution", "100000"], "oracle.forward"),
+            (["oracle", "reverse", "--kind", "kl", "--family", "{fam}", "--sample", "{smp}", "--box=nan:1:5"],
+             "oracle.reverse"),
+        ],
+    )
+    def test_failure_report_names_the_subcommand(self, capsys, files, argv, name):
+        code, out, _ = self.run(capsys, *(a.format(**files) for a in argv))
+        assert code in (1, 2)
+        report = json.loads(out)
+        assert "error" in report
+        assert report["command"] == name
+
     def test_text_format(self, capsys, files):
         code, out, _ = self.run(
             capsys, "--format", "text", "divergence", "--kind", "dpd", "--alpha", "2", "--p", files["p"], "--q", files["q"]
@@ -497,7 +555,9 @@ class TestCLIContract:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([*glob, *_cli_argv(cli_files, command, x, n, g, v)])
         assert code in (0, 1, 2)
-        assert isinstance(json.loads(out.getvalue()), dict)
+        report = json.loads(out.getvalue())
+        assert isinstance(report, dict)
+        assert report["command"] == command.replace(" ", ".")
         assert "Traceback" not in err.getvalue()
 
 

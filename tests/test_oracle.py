@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from divproj.divergences import DivergenceKind
+from divproj.divergences import DivergenceKind, divergence_fixed_p
 from divproj.errors import EmptyFeasibleGrid, InputError, NoAdmissibleTheta
-from divproj.estimators import EstimatorKind
-from divproj.families import FamilyKind, FamilySpec, LinearFamilySpec
+from divproj.estimators import MATCHED_FAMILY, EstimatorKind, likelihood_rows
+from divproj.families import FamilyKind, FamilySpec, LinearFamilySpec, eval_members_batch
 from divproj.measures import Alphabet, Distribution, SampleData
 from divproj.oracle import (
     MATCHED_DIVERGENCE,
@@ -60,6 +60,15 @@ class TestGridCaps:
     def test_parameter_grid_needs_a_step(self, steps):
         with pytest.raises(InputError, match="step"):
             ThetaGrid.of(-1.0, 1.0, steps)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "lo, hi", [(np.nan, 1.0), (-1.0, np.inf), (-np.inf, 1.0), (-1e308, 1e308), ([0.0, np.nan], [1.0, 1.0])]
+    )
+    def test_parameter_grid_needs_finite_bounds_and_width(self, lo, hi):
+        # -1e308..1e308 has finite bounds but a width that overflows
+        with pytest.raises(InputError, match="finite"):
+            ThetaGrid.of(lo, hi, 5, k=np.size(lo))
 
 
 class TestForwardOracle:
@@ -135,19 +144,43 @@ class TestReverseOracle:
         theta_best, _ = grid_reverse_min(DivergenceKind.KL, 1.0, sample, spec, grid)
         assert abs(theta_best[0] - np.log(7 / 3)) <= grid.cell_width()[0]
 
+    @staticmethod
+    def assert_likelihood_argmax_attains_the_minimum(kind, alpha, sample, spec, grid):
+        # the paper's equivalence on a grid: the matched likelihood's argmax
+        # scores the grid minimum of D(P_hat, P_theta).  Values are compared,
+        # not indices, so an exact tie that rounds either way still passes.
+        theta_best, value = grid_reverse_min(MATCHED_DIVERGENCE[kind], alpha, sample, spec, grid)
+        probs, ok = eval_members_batch(spec, grid.points())
+        probs = probs[ok]
+        ph = sample.empirical.probs
+        at_argmax = divergence_fixed_p(
+            MATCHED_DIVERGENCE[kind], ph, probs[np.argmax(likelihood_rows(kind, probs, ph, alpha))], alpha
+        )
+        assert abs(at_argmax - value) <= 1e-12 * (1.0 + abs(value))
+        return theta_best, value
+
     @pytest.mark.parametrize("kind", list(EstimatorKind))
-    def test_likelihood_argmax_cross_assert_passes(self, kind):
+    def test_likelihood_argmax_attains_the_divergence_minimum(self, kind):
         rng = rng_of(43 + ord(kind.value[0]))
         alpha = {"mle": 1.0, "hellinger": 0.5, "basu": 2.0, "jones": 2.0}[kind.value]
-        from divproj.estimators import MATCHED_FAMILY
-
         spec = random_family(rng, MATCHED_FAMILY[kind], m=3, k=1, alpha=alpha, f_scale=0.5)
         theta0 = random_admissible_theta(rng, spec, scale=0.2)
         sample = sample_from(spec, theta0, 150, rng)
         grid = ThetaGrid.of(-1.0, 1.0, 101)
-        theta_best, value = grid_reverse_min(MATCHED_DIVERGENCE[kind], alpha, sample, spec, grid)
+        theta_best, value = self.assert_likelihood_argmax_attains_the_minimum(kind, alpha, sample, spec, grid)
         assert np.isfinite(value)
         assert abs(theta_best[0]) <= 1.0
+
+    def test_exact_tie(self):
+        # a symmetric Jones instance: theta and -theta give the same member
+        # up to relabelling, and 1002 steps put no grid point at theta = 0
+        spec = FamilySpec(
+            FamilyKind.ALPHA_POWER_LAW, Distribution(AB, [0.5, 0.5]), np.array([[-0.5, 0.5]]), alpha=2.0
+        )
+        sample = SampleData.from_counts([5, 5], AB)
+        grid = ThetaGrid.of(-0.4, 0.4, 1002)
+        theta_best, _ = self.assert_likelihood_argmax_attains_the_minimum(EstimatorKind.JONES, 2.0, sample, spec, grid)
+        assert abs(theta_best[0]) == pytest.approx(0.4 / 1001, rel=1e-12)
 
     def test_no_admissible_theta(self):
         q = Distribution(AB, [0.5, 0.5])
