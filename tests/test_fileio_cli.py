@@ -51,6 +51,10 @@ def files(tmp_path):
                 "alphabet": ["a", "b"],
             },
         ),
+        "pow": write(
+            "pow.json",
+            {"kind": "alpha_power_law", "alpha": 2, "q": [0.5, 0.5], "f": [[-0.5, 0.5]], "alphabet": ["a", "b"]},
+        ),
         "smp": write(
             "smp.json",
             {"alphabet": ["a", "b"], "observations": ["a", "b", "b", "b", "a", "b", "b", "b", "b", "a"]},
@@ -379,14 +383,10 @@ class TestCLI:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("box", ["nan:1:5", "-1:inf:5", "-1e308:1e308:5"])
-    def test_nonfinite_parameter_box_exit_two(self, capsys, files, tmp_path, box):
-        pow_fam = tmp_path / "pow.json"
-        pow_fam.write_text(json.dumps(
-            {"kind": "alpha_power_law", "alpha": 2, "q": [0.5, 0.5], "f": [[-0.5, 0.5]], "alphabet": ["a", "b"]}
-        ))
+    def test_nonfinite_parameter_box_exit_two(self, capsys, files, box):
         for argv in (
             ["oracle", "reverse", "--kind", "kl", "--family", files["fam"], "--sample", files["smp"], f"--box={box}"],
-            ["oracle", "reverse", "--kind", "rae", "--alpha", "2", "--family", str(pow_fam), "--sample", files["smp"],
+            ["oracle", "reverse", "--kind", "rae", "--alpha", "2", "--family", files["pow"], "--sample", files["smp"],
              f"--box={box}"],
             ["suffcheck", "--model", "exp", "--family", files["fam"], "--sample-a", files["smp"],
              "--sample-b", files["smp_b"], f"--grid={box}"],
@@ -398,16 +398,12 @@ class TestCLI:
             assert "finite" in report["message"]
             assert "Warning" not in err
 
-    def test_exact_tie_on_the_reverse_grid_exit_zero(self, capsys, tmp_path):
+    def test_exact_tie_on_the_reverse_grid_exit_zero(self, capsys, files, tmp_path):
         # theta and -theta tie on this symmetric family and sample
-        fam = tmp_path / "pow.json"
-        fam.write_text(json.dumps(
-            {"kind": "alpha_power_law", "alpha": 2, "q": [0.5, 0.5], "f": [[-0.5, 0.5]], "alphabet": ["a", "b"]}
-        ))
         smp = tmp_path / "even.json"
         smp.write_text(json.dumps({"alphabet": ["a", "b"], "observations": list("aaaaabbbbb")}))
         code, out, _ = self.run(
-            capsys, "oracle", "reverse", "--kind", "rae", "--alpha", "2", "--family", str(fam), "--sample", str(smp),
+            capsys, "oracle", "reverse", "--kind", "rae", "--alpha", "2", "--family", files["pow"], "--sample", str(smp),
             "--box=-0.4:0.4:1002",
         )
         assert code == 0
