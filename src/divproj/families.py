@@ -65,8 +65,6 @@ _POWER_KINDS = (
 
 def _rank(matrix: np.ndarray) -> int:
     s = np.linalg.svd(matrix, compute_uv=False)
-    if s.size == 0:
-        return 0
     return int(np.sum(s > RANK_RTOL * s[0]))
 
 
@@ -276,11 +274,12 @@ def eval_members_batch(spec: FamilySpec, thetas: np.ndarray):
 
 # --- implicit normalizer of the non-normalized kind -------------------------
 
+NORMALIZER_TOL = 1e-12  # |mass - 1| at which a row stops iterating
 NORMALIZER_ACCEPT_TOL = 1e-10  # |mass - 1| a returned normalizer must meet
 NORMALIZER_MAX_STEPS = 100
 
 
-def _normalizer_rows(spec: FamilySpec, tilt: np.ndarray, tol: float = 1e-12):
+def _normalizer_rows(spec: FamilySpec, tilt: np.ndarray):
     """Z for every row of ``tilt`` = thetas @ f (n, m), the rows in one batch.
 
     Symbol x's bracket is (1-a)(Z - e_x) with edge e_x = Q(x)^(a-1)/(a-1) -
@@ -293,11 +292,11 @@ def _normalizer_rows(spec: FamilySpec, tilt: np.ndarray, tol: float = 1e-12):
     edge to 0; at z_edge + m^(1-a)/(1-a) every bracket is at least m^(1-a)
     and the mass at most 1.  Inside that bracket [lo, hi] a Newton step is
     taken when it stays strictly inside and a bisection step otherwise,
-    until |mass - 1| <= tol.  Only the active rows are evaluated: a rootless
-    row never enters, and a row leaves on the step it converges, keeping
-    that step's mass, Newton point and admissibility.  Each row's arithmetic
-    is that of its one-row call, so a batch and the one-row calls agree bit
-    for bit.
+    until |mass - 1| <= NORMALIZER_TOL.  Only the active rows are evaluated:
+    a rootless row never enters, and a row leaves on the step it converges,
+    keeping that step's mass, Newton point and admissibility.  Each row's
+    arithmetic is that of its one-row call, so a batch and the one-row calls
+    agree bit for bit.
 
     Returns ``(z, found, has_root, lo, hi)``: ``found`` marks rows whose
     normalizer keeps every bracket positive with |mass - 1| within
@@ -337,7 +336,7 @@ def _normalizer_rows(spec: FamilySpec, tilt: np.ndarray, tol: float = 1e-12):
             lr, hr = np.where(above, zr, lr), np.where(above, hr, zr)
             nr = zr - (mr - 1.0) / slope
             ir = (lr < nr) & (nr < hr)
-            stop = np.abs(mr - 1.0) <= tol
+            stop = np.abs(mr - 1.0) <= NORMALIZER_TOL
             if step == NORMALIZER_MAX_STEPS - 1:
                 stop[:] = True
             if stop.any():
@@ -358,13 +357,13 @@ def _normalizer_rows(spec: FamilySpec, tilt: np.ndarray, tol: float = 1e-12):
                 rows, t, zr, lr, hr, nr, ir = (x[keep] for x in (rows, t, zr, lr, hr, nr, ir))
             zr = np.where(ir, nr, 0.5 * (lr + hr))
     found = has_root & admissible & (np.abs(mass - 1.0) <= NORMALIZER_ACCEPT_TOL)
-    # one last Newton step from |mass - 1| <= tol lands within rounding of the
-    # root, so Z(theta) is smooth to rounding and finite-difference gradients
-    # of the likelihoods see no solver noise; callers re-check the brackets
+    # one last Newton step from |mass - 1| <= NORMALIZER_TOL lands within
+    # rounding of the root, so Z(theta) is smooth to rounding and finite-difference
+    # gradients of the likelihoods see no solver noise; callers re-check the brackets
     return np.where(found & inside, newton, z), found, has_root, *interval
 
 
-def normalizer_root(spec: FamilySpec, theta, tol: float = 1e-12) -> float:
+def normalizer_root(spec: FamilySpec, theta) -> float:
     """Z(theta) with sum_x [Q^(a-1) + (1-a)(Z + theta.f)]^(1/(a-1)) = 1.
 
     The one-row case of the vectorized safeguarded Newton in Z; the total
@@ -374,7 +373,7 @@ def normalizer_root(spec: FamilySpec, theta, tol: float = 1e-12) -> float:
     if spec.kind is not FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW:
         raise DomainError("normalizer_root applies to the non-normalized kind only")
     theta = _check_theta(spec, theta)
-    z, found, has_root, lo, hi = _normalizer_rows(spec, (theta @ spec.f)[None, :], tol)
+    z, found, has_root, lo, hi = _normalizer_rows(spec, (theta @ spec.f)[None, :])
     interval = (float(lo[0]), float(hi[0]))
     if not has_root[0]:
         raise NormalizerNotFound(
@@ -443,14 +442,10 @@ def fit_family_form(spec: FamilySpec, probs: np.ndarray):
     return _fit_form(spec.kind, spec.alpha, spec.q.probs, spec.f, probs)
 
 
-def _fit_form(kind: FamilyKind, a: float, q: np.ndarray, f: np.ndarray, probs: np.ndarray, support=None):
+def _fit_form(kind: FamilyKind, a: float, q: np.ndarray, f: np.ndarray, probs: np.ndarray):
     # fit_family_form on raw pieces: the forward projection's shape is the
     # non-normalized form over a linear family's rows, which need not
     # identify theta (lstsq then returns the minimum-norm split)
-    if support is not None:
-        probs = probs[support]
-        q = q[support]
-        f = f[:, support]
     m = len(probs)
     ones = np.ones(m)
     if kind is FamilyKind.EXPONENTIAL:
@@ -633,14 +628,14 @@ class LinearFamilySpec:
         where the member is the max-min point of the support face)."""
         return self._center.copy(), self._margin if self._support.all() else 0.0
 
-    def sample_member(self, rng: np.random.Generator, max_tries: int = 50) -> Distribution:
+    def sample_member(self, rng: np.random.Generator) -> Distribution:
         """A random member, positive on the whole support face and exactly 0
         off it; random directions on the face are blended toward its max-min
         point."""
         face = self._support
         center = self._center[face]
         floor = min(1e-9, 0.05 * self._margin)
-        for _ in range(max_tries):
+        for _ in range(50):
             raw = rng.dirichlet(np.ones(center.size))
             proj = self.affine_project(raw, face)
             lam = 1.0

@@ -102,9 +102,10 @@ def load_linear_family(path, alphabet: Alphabet | None = None) -> LinearFamilySp
     data = _load_json(path)
     f = _numbers(data, "f", path)
     a = _numbers(data, "a", path)
-    if "alphabet" in data:
-        alphabet = Alphabet(tuple(data["alphabet"]))
-    return LinearFamilySpec(f, a, alphabet=alphabet)
+    file_alphabet = Alphabet(tuple(data["alphabet"])) if "alphabet" in data else alphabet
+    if alphabet is not None and alphabet.symbols != file_alphabet.symbols:
+        raise InputError(f"linear family alphabet in {path} does not match the distribution's")
+    return LinearFamilySpec(f, a, alphabet=file_alphabet)
 
 
 def save_sample(path, sample: SampleData) -> None:

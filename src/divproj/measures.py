@@ -110,9 +110,6 @@ class Distribution:
     def __getitem__(self, symbol) -> float:
         return float(self.probs[self.alphabet.index(symbol)])
 
-    def support_mask(self) -> np.ndarray:
-        return self.probs > 0.0
-
     def is_strictly_positive(self) -> bool:
         return bool(np.all(self.probs > 0.0))
 

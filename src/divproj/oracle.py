@@ -24,7 +24,7 @@ from .divergences import DivergenceKind, divergence_fixed_p, divergence_rows
 from .errors import EmptyFeasibleGrid, InputError, NoAdmissibleTheta
 from .estimators import EstimatorKind
 from .families import FamilySpec, LinearFamilySpec, eval_members_batch
-from .measures import Distribution, SampleData
+from .measures import Distribution, SampleData, check_alpha
 
 # A grid holds one row of m (or k) numbers per point, and its oracle several
 # such arrays; a grid of more points is refused before anything is allocated.
@@ -78,6 +78,7 @@ def grid_forward_min(
     grid: SimplexGrid,
 ):
     """Exhaustive forward-projection argmin over a (filtered) simplex grid."""
+    alpha = check_alpha(alpha, allow_one=True)
     kind = DivergenceKind(kind)
     points = grid.points()
     if constraint is not None:
@@ -151,6 +152,7 @@ def grid_reverse_min(
 ):
     """Exhaustive reverse-projection argmin over an admissible parameter
     grid: ``(theta_best, value)`` at the first lowest D(P_hat, P_theta)."""
+    alpha = check_alpha(alpha, allow_one=True)
     kind = DivergenceKind(kind)
     thetas = theta_grid.points()
     probs, ok = eval_members_batch(spec, thetas)

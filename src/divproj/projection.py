@@ -50,6 +50,7 @@ MEMBERSHIP_TOL = 1e-8  # family-vs-closure decision threshold
 NEWTON_STOP_TOL = 1e-13  # (theta, Z) Newton stops at this max-abs residual
 NEWTON_ACCEPT_TOL = 1e-10  # ... and accepts a stalled iterate within this one
 SLSQP_PRECISION_LIMIT = 8  # SLSQP's "positive directional derivative" exit
+CLAMP_TOL = 1e-10  # largest bracket a clamped face symbol may keep
 
 
 def minimize(*args, **kwargs):
@@ -266,12 +267,6 @@ def forward_dpd_projection(
     )
 
 
-def _shape_fit(qv, lin: LinearFamilySpec, alpha: float, probs, support):
-    """Least-squares (theta, Z, residual) of the projection shape on the
-    support: the non-normalized form over the linear family's rows."""
-    return _fit_form(FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW, alpha, qv, lin.f, probs, support)
-
-
 def _fallback_projection(qv, lin, alpha):
     """Constrained minimization on the simplex, then a parametric refit."""
     m = lin.m
@@ -298,14 +293,22 @@ def _fallback_projection(qv, lin, alpha):
     if not (res.success or res.status == SLSQP_PRECISION_LIMIT):
         raise NoConvergence(f"fallback projection failed: {res.message}")
     support = res.x > 1e-9
-    # seed the parametric refit with a least-squares fit to the numeric point
-    theta, z, _ = _shape_fit(qv, lin, alpha, res.x, support)
+    # seed the parametric refit with a least-squares fit of the projection
+    # shape to the numeric point on its support
+    form = FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW
+    theta, z, _ = _fit_form(form, alpha, qv[support], lin.f[:, support], res.x[support])
     init = np.concatenate([theta, [z]])
     refit = _parametric_solve(qv, lin.f, lin.a, alpha, support, init=init)
     if refit is None:
         refit = _parametric_solve(qv, lin.f, lin.a, alpha, support)
     if refit is None:
         raise NoConvergence("parametric refit after fallback failed")
+    # the refit holds on SLSQP's support only; a face symbol SLSQP left empty
+    # must have a non-positive bracket as well
+    theta, z, _ = refit
+    bracket = qv ** (alpha - 1.0) + (1.0 - alpha) * (z + theta @ lin.f)
+    if np.any(bracket[lin.support_mask() & ~support] > CLAMP_TOL):
+        raise NoConvergence("fallback left a face symbol empty with a positive bracket", best_theta=theta)
     return refit
 
 
@@ -331,10 +334,11 @@ def fit_projection_form(p_star: Distribution, q: Distribution, lin: LinearFamily
     sign condition applies to them.
     """
     support = p_star.probs > 0.0
-    theta, z, residual = _shape_fit(q.probs, lin, alpha, p_star.probs, support)
+    form = FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW
+    theta, z, residual = _fit_form(form, alpha, q.probs[support], lin.f[:, support], p_star.probs[support])
     bracket = q.probs ** (alpha - 1.0) + (1.0 - alpha) * (z + theta @ lin.f)
     clamped = lin.support_mask() & ~support
-    return theta, z, residual, bool(np.all(bracket[clamped] <= 1e-10))
+    return theta, z, residual, bool(np.all(bracket[clamped] <= CLAMP_TOL))
 
 
 # --- reverse projection via the forward route -------------------------------------

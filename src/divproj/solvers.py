@@ -5,13 +5,15 @@ residual: the analytic score equation, the moment equation, and the
 likelihood's finite-difference gradient.  One Newton run goes from the
 caller's start (default theta = 0, where P_theta = Q is admissible); an
 inadmissible start raises ``NoConvergence``.  Jacobians are central finite
-differences (step 1e-6*(1+|theta_j|)); damping is Armijo backtracking on
-||residual||^2 with factor 0.5 and at most 30 halvings.  A residual that is
-a positive multiple of a likelihood's gradient comes with that likelihood
-as ``objective``, and steps on which it rises are accepted too: on the
-||r||^2 merit alone, Newton can walk off along a ray where the residual
-flattens.  A residual that raises ``DomainViolation`` or
-``NormalizerNotFound`` marks its point as inadmissible.
+differences, one stencil per coordinate at step 1e-6*(1+|theta_j|), and
+a stencil point outside the admissible region ends the run.  Damping is
+Armijo backtracking on ||residual||^2 with factor 0.5 and at most 30
+halvings.  A residual that is a positive multiple of a likelihood's
+gradient comes with that likelihood as ``objective``, and steps on which
+it rises are accepted too: on the ||r||^2 merit alone, Newton can walk off
+along a ray where the residual flattens.  A residual that raises
+``DomainViolation`` or ``NormalizerNotFound`` marks its point as
+inadmissible.
 """
 
 from __future__ import annotations
@@ -61,34 +63,23 @@ def _try_residual(residual_fn, theta):
         return None
 
 
-def fd_jacobian(residual_fn, theta, r0=None):
-    """Central-difference Jacobian; shrinks the stencil up to 3 times if it
-    leaves the admissible region."""
+def fd_jacobian(residual_fn, theta, r0):
+    """Central-difference Jacobian at theta, whose residual is ``r0``: one
+    stencil theta +- h*e_j per coordinate, h = FD_STEP*(1+|theta_j|).  The
+    first stencil point outside the admissible region raises
+    ``DomainViolation`` naming its coordinate."""
     theta = np.asarray(theta, dtype=float)
-    k = theta.size
-    if r0 is None:
-        r0 = _try_residual(residual_fn, theta)
-        if r0 is None:
-            raise DomainViolation("Jacobian base point is inadmissible")
-    n_out = r0.size
-    jac = np.empty((n_out, k))
-    for j in range(k):
+    jac = np.empty((r0.size, theta.size))
+    for j in range(theta.size):
         h = FD_STEP * (1.0 + abs(theta[j]))
-        for _ in range(4):
-            tp = theta.copy()
-            tp[j] += h
-            tm = theta.copy()
-            tm[j] -= h
-            rp = _try_residual(residual_fn, tp)
-            rm = _try_residual(residual_fn, tm)
-            if rp is not None and rm is not None:
-                jac[:, j] = (rp - rm) / (2.0 * h)
-                break
-            h *= 0.25
-        else:
-            raise DomainViolation(
-                f"finite-difference stencil leaves the admissible region at coordinate {j}"
-            )
+        ends = []
+        for step in (h, -h):
+            point = theta.copy()
+            point[j] += step
+            ends.append(_try_residual(residual_fn, point))
+            if ends[-1] is None:
+                raise DomainViolation(f"Jacobian stencil left the admissible region at coordinate {j}")
+        jac[:, j] = (ends[0] - ends[1]) / (2.0 * h)
     return jac
 
 

@@ -27,6 +27,7 @@ from divproj.families import (
     member_with_normalizer,
 )
 from divproj.measures import Alphabet, Distribution, SampleData, empirical
+from divproj.solvers import fd_jacobian
 
 from conftest import (
     random_admissible_theta,
@@ -244,6 +245,40 @@ class TestSolvers:
         rep = solve_estimating_equation(EstimatorKind.BASU, BERNOULLI, SAMPLE_7, alpha=2.0)
         assert rep.note == "unmatched pair, no equivalence guarantee"
         assert not is_matched_pair(EstimatorKind.BASU, BERNOULLI)
+
+
+class TestFdJacobian:
+    """One central stencil per coordinate; the first inadmissible stencil
+    point ends the Jacobian."""
+
+    A = np.array([[1.0, 2.0, 0.5], [-1.0, 0.0, 3.0]])
+
+    def counting(self, calls, edge=np.inf):
+        def residual(theta):
+            calls.append(np.array(theta))
+            if theta[1] > edge:
+                raise DomainViolation("outside the region")
+            return self.A @ theta
+
+        return residual
+
+    def test_two_calls_per_coordinate(self):
+        calls = []
+        theta = np.array([0.1, -0.2, 0.3])
+        jac = fd_jacobian(self.counting(calls), theta, self.A @ theta)
+        assert len(calls) == 2 * theta.size
+        assert np.allclose(jac, self.A, atol=1e-8)
+
+    def test_inadmissible_plus_point_raises_without_retry(self):
+        # h = 1.5e-6 at theta_1 = 0.5: theta_1 + h leaves the region, and a
+        # quarter step would not
+        calls = []
+        theta = np.array([0.1, 0.5, 0.3])
+        residual = self.counting(calls, edge=0.5 + 1e-6)
+        with pytest.raises(DomainViolation, match="coordinate 1"):
+            fd_jacobian(residual, theta, self.A @ theta)
+        # coordinate 0's two points, then coordinate 1's +h point
+        assert len(calls) == 3 and calls[-1][1] > 0.5 + 1e-6
 
 
 FAMILY_ALPHA = {MATCHED_FAMILY[kind]: alpha for kind, alpha in ALPHA_OF_KIND.items()}

@@ -123,6 +123,12 @@ class TestLoaders:
         lin = load_linear_family(files["lin"])
         assert lin.k == 1 and lin.m == 3
 
+    def test_linear_family_with_the_distribution_alphabet(self, tmp_path):
+        path = tmp_path / "lin_abc.json"
+        path.write_text(json.dumps({"f": [[1, 0, 0]], "a": [0.6], "alphabet": ["a", "b", "c"]}))
+        lin = load_linear_family(str(path), alphabet=Alphabet(("a", "b", "c")))
+        assert lin.alphabet.symbols == ("a", "b", "c")
+
 
 class TestConfig:
     def test_load_and_override(self, files):
@@ -212,6 +218,35 @@ class TestCLI:
         report = json.loads(out)
         assert report["error"] == "InvalidDistribution"
         assert "identifiable" in report["message"]
+
+    @pytest.mark.parametrize("alphabet", [["c", "b", "a"], ["x", "y", "z"]])
+    def test_linear_family_cannot_relabel_the_alphabet(self, capsys, files, tmp_path, alphabet):
+        # P(c) = 0.6 in the file's order must not become P(a) = 0.6
+        lin = tmp_path / "relabel.json"
+        lin.write_text(json.dumps({"f": [[1, 0, 0]], "a": [0.6], "alphabet": alphabet}))
+        code, out, _ = self.run(capsys, "project", "forward", "--alpha", "2", "--q", files["q3"], "--linear", str(lin))
+        assert code == 2
+        report = json.loads(out)
+        assert report["error"] == "InputError" and "alphabet" in report["message"]
+
+    @pytest.mark.parametrize("alpha", ["nan", "-1"])
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    def test_oracles_validate_alpha(self, capsys, files, direction, alpha):
+        where = {
+            "forward": ["--q", files["q3"], "--resolution", "20"],
+            "reverse": ["--family", files["pow"], "--sample", files["smp"], "--box=-1:1:21"],
+        }[direction]
+        code, out, _ = self.run(capsys, "oracle", direction, "--kind", "rae", f"--alpha={alpha}", *where)
+        assert code == 2
+        assert json.loads(out)["error"] == "DomainError"
+
+    def test_unmatched_estimate_is_labelled(self, capsys, files):
+        # the Basu estimator is matched with the non-normalized kind only
+        code, out, _ = self.run(capsys, "estimate", "--kind", "basu", "--family", files["pow"], "--sample", files["smp"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["matched_family"] is False
+        assert report["note"] == report["eq"]["note"] == "unmatched pair, no equivalence guarantee"
 
     def test_threads_flag_is_gone(self, files):
         with pytest.raises(SystemExit) as exc:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import divproj.families
 import divproj.projection
 from divproj.divergences import DivergenceKind, density_power
-from divproj.errors import DomainError
+from divproj.errors import DomainError, NoConvergence
 from divproj.estimators import EstimatorKind, solve_estimating_equation
 from divproj.families import (
     FamilyKind,
@@ -282,6 +282,17 @@ class TestSlsqpFallback:
         assert np.all(res.kkt_multipliers["mu"] >= -1e-12)
         _, _, residual, clamp_ok = fit_projection_form(res.p_star, q, lin, 10.0)
         assert residual <= 1e-8 and clamp_ok
+
+    def test_refit_is_certified_on_the_family_face(self):
+        # the face is x1..x4; SLSQP leaves x1 empty, and the refit on its
+        # support gives x1 a positive bracket (mu(x1) = -5.8e-6)
+        q = Distribution(Alphabet.of_size(5), [0.123074, 0.051425, 0.553119, 0.118292, 0.154090])
+        f = np.array([[1.398044] + [0.398044] * 4, [0.880119, 0.532317, 0.011459, 0.707209, 0.109244]])
+        lin = LinearFamilySpec(f, np.array([0.398044, 0.14491]), alphabet=q.alphabet)
+        assert lin.support_mask().tolist() == [False, True, True, True, True]
+        with pytest.raises(NoConvergence, match="face symbol") as err:
+            forward_dpd_projection(q, lin, 10.0)
+        assert err.value.best_theta.shape == (2,)
 
 
 class TestBoundaryFaces:
