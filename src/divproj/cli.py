@@ -242,18 +242,15 @@ def _cmd_project_forward(args, cfg):
 
 def _cmd_project_reverse(args, cfg):
     spec = load_family(args.family)
-    if args.alpha is not None and abs(args.alpha - spec.alpha) > 1e-15:
-        raise InputError("--alpha disagrees with the family file's alpha")
     sample = load_sample(args.sample, alphabet=spec.alphabet)
-    res = reverse_dpd_projection(sample, spec, membership_tol=cfg.membership_tol)
+    res = reverse_dpd_projection(sample, spec)
     return {
         "alpha": spec.alpha,
         "p_star": res.p_star.probs,
         "theta": res.theta,
         "in_family": res.in_family,
-        "membership_residual": res.membership,
-        "moment_residual": res.report.residual_norm,
-        "note": res.report.note or "reverse projection attained on the family",
+        "moment_residual": res.moment_residual,
+        "note": res.note,
     }
 
 
@@ -414,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--linear", required=True)
     p.set_defaults(handler=_cmd_project_forward)
     p = proj.add_parser("reverse", help="reverse projection via the forward route")
-    p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--family", required=True)
     p.add_argument("--sample", required=True)
     p.set_defaults(handler=_cmd_project_reverse)

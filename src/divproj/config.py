@@ -13,7 +13,6 @@ from .errors import InputError
 
 _FIELDS = {
     "residual_tol": float,
-    "membership_tol": float,
     "max_iterations": int,
     "rng_seed": int,
     "output_format": str,
@@ -23,15 +22,13 @@ _FIELDS = {
 @dataclass(frozen=True)
 class RunConfig:
     residual_tol: float = 1e-10
-    membership_tol: float = 1e-8
     max_iterations: int = 200
     rng_seed: int = 0
     output_format: str = "json"
 
     def __post_init__(self):
-        for name in ("residual_tol", "membership_tol"):
-            if not getattr(self, name) > 0.0:  # NaN fails too
-                raise InputError(f"{name} must be positive")
+        if not self.residual_tol > 0.0:  # NaN fails too
+            raise InputError("residual_tol must be positive")
         if self.max_iterations < 1:
             raise InputError("max_iterations must be >= 1")
         if self.rng_seed < 0:

@@ -56,13 +56,6 @@ class FamilyKind(enum.Enum):
     ALPHA_EXPONENTIAL = "alpha_exponential"
 
 
-_POWER_KINDS = (
-    FamilyKind.ALPHA_POWER_LAW,
-    FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW,
-    FamilyKind.ALPHA_EXPONENTIAL,
-)
-
-
 def _rank(matrix: np.ndarray) -> int:
     s = np.linalg.svd(matrix, compute_uv=False)
     return int(np.sum(s > RANK_RTOL * s[0]))

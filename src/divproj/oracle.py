@@ -22,7 +22,6 @@ import numpy as np
 
 from .divergences import DivergenceKind, divergence_fixed_p, divergence_rows
 from .errors import EmptyFeasibleGrid, InputError, NoAdmissibleTheta
-from .estimators import EstimatorKind
 from .families import FamilySpec, LinearFamilySpec, eval_members_batch
 from .measures import Distribution, SampleData, check_alpha
 
@@ -133,14 +132,6 @@ class ThetaGrid:
 
     def cell_width(self) -> np.ndarray:
         return (self.hi - self.lo) / np.maximum(1, self.steps - 1)
-
-
-MATCHED_DIVERGENCE = {
-    EstimatorKind.MLE: DivergenceKind.KL,
-    EstimatorKind.HELLINGER: DivergenceKind.RENYI,
-    EstimatorKind.BASU: DivergenceKind.DENSITY_POWER,
-    EstimatorKind.JONES: DivergenceKind.REL_ALPHA_ENTROPY,
-}
 
 
 def grid_reverse_min(

@@ -40,13 +40,11 @@ from .families import (
     LinearFamilySpec,
     _fit_form,
     eval_member,
-    fit_family_form,
     member_with_normalizer,
 )
 from .measures import Distribution, SampleData, check_alpha, empirical_weights
 from .solvers import MAX_ITER, RESIDUAL_TOL, Route, SolveReport, solve_residual
 
-MEMBERSHIP_TOL = 1e-8  # family-vs-closure decision threshold
 NEWTON_STOP_TOL = 1e-13  # (theta, Z) Newton stops at this max-abs residual
 NEWTON_ACCEPT_TOL = 1e-10  # ... and accepts a stalled iterate within this one
 SLSQP_PRECISION_LIMIT = 8  # SLSQP's "positive directional derivative" exit
@@ -139,7 +137,7 @@ class ForwardProjectionResult:
     kkt_multipliers: dict | None = None
 
 
-def _parametric_solve(q, f, a_vec, alpha, face, init=None):
+def _parametric_solve(qa, f, a_vec, alpha, face, init=None):
     """Newton ascent on the concave dual of the forward projection.
 
     On the face, P(x) = [bracket(x)]_+^(1/(alpha-1)) with
@@ -153,13 +151,13 @@ def _parametric_solve(q, f, a_vec, alpha, face, init=None):
     residual still measures progress.  Newton stops at residual
     NEWTON_STOP_TOL; a run that stalls (the line search finds neither) still
     counts as converged when its residual is within NEWTON_ACCEPT_TOL, the
-    rounding floor near a coordinate of order 1e-5.
+    rounding floor near a coordinate of order 1e-5.  ``qa`` is Q^(alpha-1).
     Returns (theta, z, probs), zero off the face, or None when Newton fails.
     """
     k, m = f.shape
     g = np.vstack([f[:, face], np.ones((1, int(face.sum())))])  # rows (f; 1)
     b = np.concatenate([a_vec, [1.0]])
-    qa = q[face] ** (alpha - 1.0)
+    qa = qa[face]
     expo = 1.0 / (alpha - 1.0)
 
     def state(xi):
@@ -232,19 +230,24 @@ def forward_dpd_projection(
         raise DomainError("linear family and reference measure sizes differ")
     f, a_vec = lin.f, lin.a
     qv = q.probs
+    with np.errstate(over="ignore"):
+        qa = qv ** (alpha - 1.0)
+    if not np.all((qa >= np.finfo(float).tiny) & np.isfinite(qa)):
+        # a zero, subnormal or infinite bracket overflows the dual Newton
+        raise DomainError(f"Q^(alpha-1) underflows or overflows at alpha = {alpha}")
     face = lin.support_mask()
     if not np.any(face):
         raise InfeasibleError("linear family has empty support")
 
-    solved = _parametric_solve(qv, f, a_vec, alpha, face)
+    solved = _parametric_solve(qa, f, a_vec, alpha, face)
     if solved is None:
-        solved = _fallback_projection(qv, lin, alpha)
+        solved = _fallback_projection(qv, qa, lin, alpha)
     theta, z, probs = solved
     support = probs > 0.0
     p_star = Distribution(q.alphabet, probs, strict=False)
     if not lin.contains(p_star, tol=1e-9):
         raise NoConvergence("projection left the constraint set")
-    bracket = qv ** (alpha - 1.0) + (1.0 - alpha) * (z + theta @ f)
+    bracket = qa + (1.0 - alpha) * (z + theta @ f)
     kkt = None
     if alpha > 1.0:
         if not face.all():
@@ -267,7 +270,7 @@ def forward_dpd_projection(
     )
 
 
-def _fallback_projection(qv, lin, alpha):
+def _fallback_projection(qv, qa, lin, alpha):
     """Constrained minimization on the simplex, then a parametric refit."""
     m = lin.m
 
@@ -298,15 +301,15 @@ def _fallback_projection(qv, lin, alpha):
     form = FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW
     theta, z, _ = _fit_form(form, alpha, qv[support], lin.f[:, support], res.x[support])
     init = np.concatenate([theta, [z]])
-    refit = _parametric_solve(qv, lin.f, lin.a, alpha, support, init=init)
+    refit = _parametric_solve(qa, lin.f, lin.a, alpha, support, init=init)
     if refit is None:
-        refit = _parametric_solve(qv, lin.f, lin.a, alpha, support)
+        refit = _parametric_solve(qa, lin.f, lin.a, alpha, support)
     if refit is None:
         raise NoConvergence("parametric refit after fallback failed")
     # the refit holds on SLSQP's support only; a face symbol SLSQP left empty
     # must have a non-positive bracket as well
     theta, z, _ = refit
-    bracket = qv ** (alpha - 1.0) + (1.0 - alpha) * (z + theta @ lin.f)
+    bracket = qa + (1.0 - alpha) * (z + theta @ lin.f)
     if np.any(bracket[lin.support_mask() & ~support] > CLAMP_TOL):
         raise NoConvergence("fallback left a face symbol empty with a positive bracket", best_theta=theta)
     return refit
@@ -349,20 +352,20 @@ class ReverseProjectionResult:
     p_star: Distribution
     theta: np.ndarray | None
     in_family: bool
-    membership: float
-    report: SolveReport
+    moment_residual: float
+    note: str
 
 
-def reverse_dpd_projection(
-    sample: SampleData, spec: FamilySpec, membership_tol: float = MEMBERSHIP_TOL
-) -> ReverseProjectionResult:
+def reverse_dpd_projection(sample: SampleData, spec: FamilySpec) -> ReverseProjectionResult:
     """Reverse density-power projection computed as a forward projection.
 
-    Builds the sample's moment family {P : f P = fbar}, forward-projects the
-    reference measure onto it, and checks whether the projection lies on the
-    parametric family, i.e. fits its form with relative residual at most
-    ``membership_tol`` (otherwise the reverse projection is attained only on
-    the family's closure).
+    Builds the sample's moment family {P : f P = fbar} and forward-projects
+    the reference measure onto it.  The forward answer has the family's own
+    shape [Q^(a-1) + (1-a)(Z + theta.f)]_+^(1/(a-1)), so a strictly positive
+    P* is the member at the dual's theta (Z is the root of the mass
+    equation, and theta is identified because the family's statistics do not
+    span the constants).  Every member is strictly positive, so a P* with a
+    zero lies only on the family's closure, and theta is then None.
     """
     if spec.kind is not FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW:
         raise DomainError("reverse projection route applies to the non-normalized kind")
@@ -370,28 +373,13 @@ def reverse_dpd_projection(
     lin = LinearFamilySpec(spec.f, fbar, alphabet=spec.alphabet)
     fwd = forward_dpd_projection(spec.q, lin, spec.alpha)
     p_star = fwd.p_star
-    if p_star.is_strictly_positive():
-        theta, z, residual = fit_family_form(spec, p_star.probs)
-        in_family = residual <= membership_tol
-    else:
-        theta, residual, in_family = None, np.inf, False
-    proj_residual = float(np.max(np.abs(spec.f @ p_star.probs - fbar)))
-    note = "" if in_family else "reverse projection attained only on closure"
-    report = SolveReport(
-        theta_star=np.asarray(theta, dtype=float) if theta is not None else fwd.theta,
-        p_star=p_star,
-        residual_norm=proj_residual,
-        iterations=0,
-        trace=((fwd.theta.copy(), proj_residual),),
-        route=Route.PROJECTION_EQ,
-        note=note,
-    )
+    in_family = p_star.is_strictly_positive()
     return ReverseProjectionResult(
         p_star=p_star,
-        theta=None if theta is None else np.asarray(theta, dtype=float),
+        theta=fwd.theta if in_family else None,
         in_family=in_family,
-        membership=float(residual),
-        report=report,
+        moment_residual=float(np.max(np.abs(spec.f @ p_star.probs - fbar))),
+        note="reverse projection attained " + ("on the family" if in_family else "only on closure"),
     )
 
 

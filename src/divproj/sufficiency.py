@@ -60,17 +60,29 @@ def sufficient_statistic(
     if model_kind is FamilyKind.ALPHA_POWER_LAW:
         denom = float(ph @ q.probs ** (alpha - 1.0))
         return SufficientStatistic(
-            model_kind, fbar / denom, "sample mean of f over sample mean of Q^(alpha-1)"
+            model_kind, _quotient(fbar, denom, alpha), "sample mean of f over sample mean of Q^(alpha-1)"
         )
     # alpha-exponential: escort averages under the scaled empirical measure
     w = ph**alpha
-    w = w / w.sum()
-    denom = float(w @ q.probs ** (1.0 - alpha))
+    w = _quotient(w, float(w.sum()), alpha)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        denom = float(w @ q.probs ** (1.0 - alpha))
     return SufficientStatistic(
         model_kind,
-        (f @ w) / denom,
+        _quotient(f @ w, denom, alpha),
         "escort mean of f over escort mean of Q^(1-alpha)",
     )
+
+
+def _quotient(num: np.ndarray, denom: float, alpha: float) -> np.ndarray:
+    """num / denom, refused unless denom is finite and positive and the
+    quotient finite: extreme alphas under- or overflow the powers in denom."""
+    if 0.0 < denom < np.inf:
+        with np.errstate(over="ignore"):
+            value = num / denom
+        if np.all(np.isfinite(value)):
+            return value
+    raise DomainError(f"alpha = {alpha} under- or overflows the statistic (denominator {denom:.6g})")
 
 
 def likelihood_split(spec: FamilySpec, theta, sample: SampleData) -> tuple[float, float]:

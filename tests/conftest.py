@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from divproj.divergences import DivergenceKind
+from divproj.estimators import EstimatorKind
 from divproj.families import FamilyKind, FamilySpec, is_admissible
 from divproj.measures import Alphabet, Distribution, SampleData, empirical
 
@@ -54,3 +56,39 @@ def sample_from(spec, theta, n, rng) -> SampleData:
 @pytest.fixture
 def rng():
     return rng_of(20260810)
+
+
+MATCHED_DIVERGENCE = {
+    EstimatorKind.MLE: DivergenceKind.KL,
+    EstimatorKind.HELLINGER: DivergenceKind.RENYI,
+    EstimatorKind.BASU: DivergenceKind.DENSITY_POWER,
+    EstimatorKind.JONES: DivergenceKind.REL_ALPHA_ENTROPY,
+}
+
+
+def forward_corpus(seed: int = 0):
+    """Endless (Q, f, a) instances for fuzzing forward projections.
+
+    m in 3..5 and k in 1..3; Q is Dirichlet(1) floored at 0.02 and
+    renormalized; f is standard normal.  Three families in ten are boundary
+    faces, pinned through row 0 as the bench's project workload does: row 0
+    is a constant plus the indicator of one symbol, and the target leaves
+    that symbol empty, so every member does.  Three targets in ten are
+    Dirichlet(0.3) points near the faces of the simplex, the rest
+    Dirichlet(1).
+    """
+    rng = rng_of(seed)
+    while True:
+        m, k = int(rng.integers(3, 6)), int(rng.integers(1, 4))
+        q = np.maximum(rng.dirichlet(np.ones(m)), 0.02)
+        f = rng.standard_normal((k, m))
+        support = np.ones(m, dtype=bool)
+        if rng.random() < 0.3:
+            missing = int(rng.integers(m))
+            support[missing] = False
+            f[0] = rng.uniform(-0.5, 0.5)
+            f[0, missing] += 1.0
+        target = np.zeros(m)
+        concentration = 0.3 if rng.random() < 0.3 else 1.0
+        target[support] = rng.dirichlet(np.full(int(support.sum()), concentration))
+        yield Distribution(Alphabet.of_size(m), q / q.sum()), f, f @ target

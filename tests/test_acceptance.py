@@ -32,7 +32,7 @@ from divproj.families import (
     membership_residual,
 )
 from divproj.measures import Alphabet, Distribution, SampleData, escort
-from divproj.oracle import MATCHED_DIVERGENCE, ThetaGrid, grid_reverse_min
+from divproj.oracle import ThetaGrid, grid_reverse_min
 from divproj.projection import (
     fit_projection_form,
     forward_dpd_projection,
@@ -45,6 +45,7 @@ from divproj.projection import (
 from divproj.sufficiency import sufficient_statistic
 
 from conftest import (
+    MATCHED_DIVERGENCE,
     random_admissible_theta,
     random_distribution,
     rng_of,

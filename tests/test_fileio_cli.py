@@ -26,6 +26,11 @@ from divproj.fileio import (
 from divproj.measures import Alphabet, Distribution
 
 
+def _refuse_constant(token):
+    """``parse_constant`` for strict JSON: NaN and Infinity are not numbers."""
+    raise ValueError(f"non-standard JSON token {token}")
+
+
 @pytest.fixture
 def files(tmp_path):
     def write(name, payload):
@@ -144,7 +149,7 @@ class TestConfig:
         with pytest.raises(InputError):
             load_config(str(path))
 
-    @pytest.mark.parametrize("key", ["threads", "equivalence_tol"])
+    @pytest.mark.parametrize("key", ["threads", "equivalence_tol", "membership_tol"])
     def test_keys_nothing_read_are_gone(self, tmp_path, key):
         path = tmp_path / "old.cfg"
         path.write_text(f"{key} = 1\n")
@@ -159,7 +164,7 @@ class TestConfig:
 
 
     @pytest.mark.parametrize(
-        "bad", [{"residual_tol": float("nan")}, {"membership_tol": float("nan")}, {"rng_seed": -3}]
+        "bad", [{"residual_tol": float("nan")}, {"rng_seed": -3}]
     )
     def test_nan_tolerance_and_negative_seed_rejected(self, bad):
         with pytest.raises(InputError):
@@ -275,16 +280,41 @@ class TestCLI:
         assert report["in_family"] is True
         assert report["moment_residual"] <= 1e-8
 
-    def test_project_reverse_reads_membership_tol(self, capsys, files, tmp_path):
-        cfg = tmp_path / "strict.cfg"
-        cfg.write_text("membership_tol = 1e-30\n")
-        code, out, _ = self.run(
-            capsys, "--config", str(cfg), "project", "reverse", "--family", files["nn"], "--sample", files["smp"]
-        )
+    def test_project_reverse_closure_prints_strict_json(self, capsys, tmp_path):
+        # the sample never sees a and the statistic is its indicator: P*(a) = 0
+        fam = tmp_path / "closure.json"
+        fam.write_text(json.dumps({
+            "kind": "non_normalized_alpha_power_law", "alpha": 0.5, "q": [0.2, 0.3, 0.5], "f": [[1, 0, 0]],
+            "alphabet": ["a", "b", "c"],
+        }))
+        smp = tmp_path / "closure_smp.json"
+        smp.write_text(json.dumps({"alphabet": ["a", "b", "c"], "observations": list("bbbbcccccc")}))
+        code, out, err = self.run(capsys, "project", "reverse", "--family", str(fam), "--sample", str(smp))
         assert code == 0
-        report = json.loads(out)
-        assert report["in_family"] is False
-        assert report["membership_residual"] > 1e-30
+        report = json.loads(out, parse_constant=_refuse_constant)
+        assert report["in_family"] is False and report["theta"] is None
+        assert report["p_star"][0] == 0.0 and "closure" in report["note"]
+        assert err == ""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["suffstat", "--model", "mpow", "--alpha=1e308", "--family", "{pow}", "--sample", "{smp}"],
+            ["suffstat", "--model", "aexp", "--alpha=1e308", "--family", "{pow}", "--sample", "{smp}"],
+            ["project", "forward", "--alpha=1e308", "--q", "{q3}", "--linear", "{lin}"],
+            ["verify", "pythagoras", "--alpha=1e308", "--q", "{q3}", "--linear", "{lin}"],
+            # subnormal powers: 0.5^1030 and (1/3)^659
+            ["suffstat", "--model", "mpow", "--alpha=1031", "--family", "{pow}", "--sample", "{smp}"],
+            ["project", "forward", "--alpha=660", "--q", "{q3}", "--linear", "{lin}"],
+        ],
+    )
+    def test_alpha_whose_powers_vanish_exit_two(self, capsys, files, argv):
+        code, out, err = self.run(capsys, *(a.format(**files) for a in argv))
+        assert code == 2
+        report = json.loads(out, parse_constant=_refuse_constant)
+        assert report["error"] == "DomainError"
+        assert "Warning" not in err
 
     def test_verify_pythagoras(self, capsys, files):
         code, out, _ = self.run(
@@ -451,7 +481,7 @@ class TestCLI:
             (["estimate", "--kind", "mle", "--family", "{fam}", "--sample", "{degenerate}", "--route", "lik"],
              "estimate"),
             (["project", "forward", "--alpha", "2", "--q", "{q}", "--linear", "{lin}"], "project.forward"),
-            (["project", "reverse", "--alpha", "3", "--family", "{nn}", "--sample", "{smp}"], "project.reverse"),
+            (["project", "reverse", "--family", "{fam}", "--sample", "{smp}"], "project.reverse"),
             (["verify", "pythagoras", "--alpha", "2", "--q", "{q3}", "--linear", "{lin}", "--trials=0"],
              "verify.pythagoras"),
             (["oracle", "forward", "--kind", "kl", "--q", "{q3}", "--resolution", "100000"], "oracle.forward"),
@@ -549,7 +579,7 @@ def _cli_argv(f, command, x, n, g, v):
         "family eval": ["family", "eval", "--spec", f["fam"], f"--theta={v}"],
         "estimate": ["estimate", "--kind", "jones", f"--alpha={x}", *fam, "--route", "both", f"--init={v}"],
         "project forward": ["project", "forward", f"--alpha={x}", *lin],
-        "project reverse": ["project", "reverse", f"--alpha={x}", *fam],
+        "project reverse": ["project", "reverse", *fam],
         "verify pythagoras": ["verify", "pythagoras", f"--alpha={x}", *lin, f"--trials={n}"],
         "suffstat": ["suffstat", "--model", "mpow", f"--alpha={x}", *fam],
         "suffcheck": ["suffcheck", "--model", "mpow", "--family", f["fam"], "--sample-a", f["smp"],

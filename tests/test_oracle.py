@@ -7,7 +7,6 @@ from divproj.estimators import MATCHED_FAMILY, EstimatorKind, likelihood_rows
 from divproj.families import FamilyKind, FamilySpec, LinearFamilySpec, eval_members_batch
 from divproj.measures import Alphabet, Distribution, SampleData
 from divproj.oracle import (
-    MATCHED_DIVERGENCE,
     SimplexGrid,
     ThetaGrid,
     grid_forward_min,
@@ -15,7 +14,14 @@ from divproj.oracle import (
 )
 from divproj.projection import forward_dpd_projection
 
-from conftest import random_admissible_theta, random_distribution, random_family, rng_of, sample_from
+from conftest import (
+    MATCHED_DIVERGENCE,
+    random_admissible_theta,
+    random_distribution,
+    random_family,
+    rng_of,
+    sample_from,
+)
 
 A3 = Alphabet(("a", "b", "c"))
 AB = Alphabet(("a", "b"))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,7 @@ from divproj.projection import (
 )
 
 from conftest import (
+    forward_corpus,
     random_admissible_theta,
     random_distribution,
     random_family,
@@ -295,6 +298,19 @@ class TestSlsqpFallback:
         assert err.value.best_theta.shape == (2,)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 2.0])
+def test_fuzz_corpus_needs_no_fallback(monkeypatch, alpha):
+    # the dual Newton alone solves the corpus's first 100 families
+    def refuse(*args, **kwargs):
+        raise AssertionError("SLSQP fallback ran")
+
+    monkeypatch.setattr(divproj.projection, "minimize", refuse)
+    for q, f, a in itertools.islice(forward_corpus(), 100):
+        lin = LinearFamilySpec(f, a, alphabet=q.alphabet)
+        p = forward_dpd_projection(q, lin, alpha).p_star.probs
+        assert np.max(np.abs(f @ p - a)) <= 1e-10 and abs(p.sum() - 1.0) <= 1e-10
+
+
 class TestBoundaryFaces:
     """Families on a boundary face of the simplex: members are drawn on the
     face, with exactly zero mass off it."""
@@ -519,7 +535,8 @@ class TestReverseProjection:
         res = reverse_dpd_projection(sample, spec)
         assert not res.in_family
         assert res.p_star.probs[0] == 0.0
-        assert "closure" in res.report.note
+        assert res.theta is None
+        assert "closure" in res.note
         fbar = spec.f @ sample.empirical.probs
         assert np.max(np.abs(spec.f @ res.p_star.probs - fbar)) <= 1e-8
 
