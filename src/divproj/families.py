@@ -23,7 +23,8 @@ Members are evaluated by one kernel over rows of parameters (the grid
 oracle's batches); ``member_with_normalizer`` and ``normalizer_root`` are its
 one-row cases, so scalar and batch calls agree on values and admissibility.
 Every member has full support: a member that underflows to an exact 0 on
-some symbol is inadmissible, like one whose bracket is non-positive.
+some symbol is inadmissible, like one whose bracket is non-positive or
+whose tilt theta.f overflows.
 
 The linear family {P : f P = a} solves its linear programs once, at
 construction, and caches the centre, margin and support face they give;
@@ -157,14 +158,25 @@ def _bracket(spec: FamilySpec, tilt: np.ndarray, z=0.0) -> np.ndarray:
     return spec.q.probs ** (a - 1.0) + (1.0 - a) * (z + tilt)
 
 
+def _tilt(spec: FamilySpec, thetas: np.ndarray) -> np.ndarray:
+    """theta.f for a theta or each row of ``thetas``, NaN where the product
+    overflows: such a theta is inadmissible, and NaN passes through the
+    kernels without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        tilt = thetas @ spec.f
+    tilt[~np.isfinite(tilt)] = np.nan
+    return tilt
+
+
 def bracket_values(spec: FamilySpec, theta, z: float = 0.0) -> np.ndarray:
-    """The defining bracket u(x) of a power-law kind, per symbol."""
+    """The defining bracket u(x) of a power-law kind, per symbol (NaN where
+    theta.f overflows)."""
     theta = _check_theta(spec, theta)
     if spec.kind is FamilyKind.EXPONENTIAL:
         raise DomainError("exponential family has no bracket")
     if spec.kind is FamilyKind.ALPHA_POWER_LAW:
         z = 0.0
-    return _bracket(spec, theta @ spec.f, z)
+    return _bracket(spec, _tilt(spec, theta), z)
 
 
 def is_admissible(spec: FamilySpec, theta) -> bool:
@@ -176,34 +188,34 @@ def is_admissible(spec: FamilySpec, theta) -> bool:
         return False
 
 
-def _violating_symbols(spec: FamilySpec, bracket: np.ndarray) -> tuple[str, ...]:
-    return tuple(
-        s for s, b in zip(spec.alphabet.symbols, bracket) if b <= 0.0
-    )
+def _symbols(spec: FamilySpec, mask: np.ndarray) -> tuple[str, ...]:
+    return tuple(s for s, hit in zip(spec.alphabet.symbols, mask) if hit)
 
 
 def _members(spec: FamilySpec, thetas: np.ndarray, z=None):
     """Members at the rows of ``thetas`` (n, k): ``(probs, z, ok)``.
 
     ``probs`` is (n, m) and ``z`` holds each row's normalizing constant.  A
-    row is not ``ok`` when a bracket is non-positive or no normalizer is
-    found (its row is NaN), or when its member underflows to an exact 0 on
-    some symbol (those entries are NaN): every member has full support.  The
-    non-normalized kind solves for its normalizers unless they are given.
+    row is not ``ok`` when theta.f overflows, a bracket is non-positive or
+    no normalizer is found (its row is NaN), or when its member underflows
+    to an exact 0 on some symbol (those entries are NaN).  The non-normalized
+    kind solves for its normalizers unless they are given.
     """
     a = spec.alpha
-    tilt = thetas @ spec.f
+    tilt = _tilt(spec, thetas)
     # the (n, m) work arrays are updated in place: oracle grids reach 1e5 rows
     if spec.kind is FamilyKind.EXPONENTIAL:
         w = np.log(spec.q.probs) + tilt
         shift = _by_row(np.maximum, w)
-        w -= shift[:, None]
-        np.exp(w, out=w)
-        total = _by_row(np.add, w)
-        w /= total[:, None]
-        with np.errstate(over="ignore"):  # Z = inf is right for a far theta
+        # a spread beyond the float range gives -inf, so the member underflows;
+        # Z = inf is right for a far theta
+        with np.errstate(over="ignore"):
+            w -= shift[:, None]
+            np.exp(w, out=w)
+            total = _by_row(np.add, w)
+            w /= total[:, None]
             z = total * np.exp(shift)
-        ok = np.ones(len(tilt), dtype=bool)
+        ok = ~np.isnan(shift)
     else:
         found = True
         if spec.kind is FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW:
@@ -235,14 +247,14 @@ def member_with_normalizer(spec: FamilySpec, theta) -> tuple[Distribution, float
         z = np.array([normalizer_root(spec, theta)])
     probs, z, ok = _members(spec, theta[None, :], z)
     if not ok[0]:
+        overflow = np.isnan(_tilt(spec, theta))
+        if overflow.any():
+            raise DomainViolation("theta.f overflows on some symbols", symbols=_symbols(spec, overflow))
         if spec.kind is not FamilyKind.EXPONENTIAL:
-            symbols = _violating_symbols(spec, bracket_values(spec, theta, z[0]))
+            symbols = _symbols(spec, bracket_values(spec, theta, z[0]) <= 0.0)
             if symbols:
                 raise DomainViolation("bracket non-positive on some symbols", symbols=symbols)
-        raise DomainViolation(
-            "member underflows to 0 on some symbols",
-            symbols=tuple(s for s, p in zip(spec.alphabet.symbols, probs[0]) if np.isnan(p)),
-        )
+        raise DomainViolation("member underflows to 0 on some symbols", symbols=_symbols(spec, np.isnan(probs[0])))
     return Distribution(spec.alphabet, probs[0], strict=True), float(z[0])
 
 
@@ -366,11 +378,14 @@ def normalizer_root(spec: FamilySpec, theta) -> float:
     if spec.kind is not FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW:
         raise DomainError("normalizer_root applies to the non-normalized kind only")
     theta = _check_theta(spec, theta)
-    z, found, has_root, lo, hi = _normalizer_rows(spec, (theta @ spec.f)[None, :])
+    tilt = _tilt(spec, theta[None, :])
+    z, found, has_root, lo, hi = _normalizer_rows(spec, tilt)
     interval = (float(lo[0]), float(hi[0]))
     if not has_root[0]:
         raise NormalizerNotFound(
-            "total mass stays above 1 on the admissible interval", interval=interval
+            "theta.f overflows on some symbols" if np.isnan(tilt).any()
+            else "total mass stays above 1 on the admissible interval",
+            interval=interval,
         )
     if not found[0]:
         raise NormalizerNotFound("normalizer refinement failed", interval=interval)

@@ -21,9 +21,9 @@ family's face certificate until the brackets of the symbols the face
 excludes are non-positive, so mu >= 0 holds there too.
 
 The support face and its certificate are read from the linear family, which
-computed them when it was built, so a projection solves no LP.  Only when
-the dual Newton fails does an SLSQP last resort run; scipy is imported on
-that first call, not with this module.
+computed them when it was built, so a projection solves no LP.  A dual
+Newton run that stalls is restarted once, from the shape fitted to the
+family's max-min member; a second stall raises ``NoConvergence``.
 """
 
 from __future__ import annotations
@@ -32,13 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import DivergenceKind, density_power, divergence_rows
-from .errors import DomainError, InfeasibleError, NoConvergence
+from .divergences import DivergenceKind, density_power
+from .errors import DomainError, NoConvergence
 from .families import (
     FamilyKind,
     FamilySpec,
     LinearFamilySpec,
     _fit_form,
+    _rank,
     eval_member,
     member_with_normalizer,
 )
@@ -47,16 +48,7 @@ from .solvers import MAX_ITER, RESIDUAL_TOL, Route, SolveReport, solve_residual
 
 NEWTON_STOP_TOL = 1e-13  # (theta, Z) Newton stops at this max-abs residual
 NEWTON_ACCEPT_TOL = 1e-10  # ... and accepts a stalled iterate within this one
-SLSQP_PRECISION_LIMIT = 8  # SLSQP's "positive directional derivative" exit
 CLAMP_TOL = 1e-10  # largest bracket a clamped face symbol may keep
-
-
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on first call: only the SLSQP
-    fallback pays for importing scipy."""
-    from scipy.optimize import minimize as _minimize
-
-    return _minimize(*args, **kwargs)
 
 
 # --- projection-equation residuals -------------------------------------------
@@ -151,13 +143,23 @@ def _parametric_solve(qa, f, a_vec, alpha, face, init=None):
     residual still measures progress.  Newton stops at residual
     NEWTON_STOP_TOL; a run that stalls (the line search finds neither) still
     counts as converged when its residual is within NEWTON_ACCEPT_TOL, the
-    rounding floor near a coordinate of order 1e-5.  ``qa`` is Q^(alpha-1).
-    Returns (theta, z, probs), zero off the face, or None when Newton fails.
+    rounding floor near a coordinate of order 1e-5.  A face whose columns of
+    g = (f; 1) are linearly independent holds one member, which g P = (a, 1)
+    fixes with no iteration.  ``qa`` is Q^(alpha-1).  Returns
+    (theta, z, probs, residual), probs zero off the face.
     """
     k, m = f.shape
     g = np.vstack([f[:, face], np.ones((1, int(face.sum())))])  # rows (f; 1)
     b = np.concatenate([a_vec, [1.0]])
     qa = qa[face]
+    probs = np.zeros(m)
+    if g.shape[1] <= k + 1 and _rank(g) == g.shape[1]:
+        p = np.linalg.lstsq(g, b, rcond=None)[0]
+        if np.any(p <= 0.0):  # the LP misjudged the face: a stall
+            return np.zeros(k), 0.0, probs, np.inf
+        xi = np.linalg.lstsq(g.T, (p ** (alpha - 1.0) - qa) / (1.0 - alpha), rcond=None)[0]
+        probs[face] = p
+        return xi[:k], float(xi[k]), probs, float(np.max(np.abs(g @ p - b)))
     expo = 1.0 / (alpha - 1.0)
 
     def state(xi):
@@ -173,7 +175,7 @@ def _parametric_solve(qa, f, a_vec, alpha, face, init=None):
     xi = np.zeros(k + 1) if init is None else np.asarray(init, dtype=float).copy()
     st = state(xi)
     if st is None:
-        return None
+        return xi[:k], float(xi[k]), probs, np.inf
     psi, r, bracket, p = st
     for _ in range(300):
         size = float(np.max(np.abs(r)))
@@ -188,8 +190,8 @@ def _parametric_solve(qa, f, a_vec, alpha, face, init=None):
         try:
             step = np.linalg.solve(hess, r)
         except np.linalg.LinAlgError:
-            # rank-deficient face (a single-member family) with the
-            # regularizer lost in rounding: take the min-norm step
+            # rows of (f; 1) dependent on the face, with the regularizer
+            # lost in rounding: take the min-norm step
             step, *_ = np.linalg.lstsq(hess, r, rcond=None)
         slope, phi = float(r @ step), float(r @ r)
         t = 1.0
@@ -205,11 +207,8 @@ def _parametric_solve(qa, f, a_vec, alpha, face, init=None):
             t *= 0.5
         else:
             break
-    if float(np.max(np.abs(r))) > NEWTON_ACCEPT_TOL:
-        return None
-    probs = np.zeros(m)
     probs[face] = p
-    return xi[:k], float(xi[k]), probs
+    return xi[:k], float(xi[k]), probs, float(np.max(np.abs(r)))
 
 
 def _kkt_multipliers(alpha, theta, z, a_vec, bracket, support):
@@ -235,18 +234,28 @@ def forward_dpd_projection(
     if not np.all((qa >= np.finfo(float).tiny) & np.isfinite(qa)):
         # a zero, subnormal or infinite bracket overflows the dual Newton
         raise DomainError(f"Q^(alpha-1) underflows or overflows at alpha = {alpha}")
-    face = lin.support_mask()
-    if not np.any(face):
-        raise InfeasibleError("linear family has empty support")
+    face = lin.support_mask()  # never empty: a member puts 1/m or more on some symbol
 
     solved = _parametric_solve(qa, f, a_vec, alpha, face)
-    if solved is None:
-        solved = _fallback_projection(qv, qa, lin, alpha)
-    theta, z, probs = solved
+    if solved[3] > NEWTON_ACCEPT_TOL:
+        # restart once, from the shape fitted to the max-min member (that fit
+        # may be inadmissible at alpha < 1), and keep the better run
+        center = lin.interior_member()[0]
+        form = FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW
+        theta, z, _ = _fit_form(form, alpha, qv[face], f[:, face], center[face])
+        restart = _parametric_solve(qa, f, a_vec, alpha, face, init=np.append(theta, z))
+        solved = min(solved, restart, key=lambda run: run[3])
+        if solved[3] > NEWTON_ACCEPT_TOL:
+            raise NoConvergence(
+                f"dual Newton stalled at residual {solved[3]:.3e}, also from the family's centre",
+                best_theta=solved[0],
+                best_residual=solved[3],
+            )
+    theta, z, probs, residual = solved
     support = probs > 0.0
     p_star = Distribution(q.alphabet, probs, strict=False)
     if not lin.contains(p_star, tol=1e-9):
-        raise NoConvergence("projection left the constraint set")
+        raise NoConvergence("projection left the constraint set", best_theta=theta, best_residual=residual)
     bracket = qa + (1.0 - alpha) * (z + theta @ f)
     kkt = None
     if alpha > 1.0:
@@ -268,51 +277,6 @@ def forward_dpd_projection(
         objective=float(objective),
         kkt_multipliers=kkt,
     )
-
-
-def _fallback_projection(qv, qa, lin, alpha):
-    """Constrained minimization on the simplex, then a parametric refit."""
-    m = lin.m
-
-    def objective(p):
-        return float(divergence_rows(DivergenceKind.DENSITY_POWER, np.clip(p, 1e-300, None), qv, alpha))
-
-    cons = [
-        {"type": "eq", "fun": lambda p: lin.f @ p - lin.a},
-        {"type": "eq", "fun": lambda p: np.sum(p) - 1.0},
-    ]
-    x0 = lin.affine_project(np.full(m, 1.0 / m))
-    x0 = np.clip(x0, 1e-9, None)
-    res = minimize(
-        objective,
-        x0,
-        method="SLSQP",
-        bounds=[(0.0, None)] * m,
-        constraints=cons,
-        options={"maxiter": 500, "ftol": 1e-14},
-    )
-    # exit 8: the line search found no descent at SLSQP's precision limit;
-    # that point still seeds the refit, which certifies the answer
-    if not (res.success or res.status == SLSQP_PRECISION_LIMIT):
-        raise NoConvergence(f"fallback projection failed: {res.message}")
-    support = res.x > 1e-9
-    # seed the parametric refit with a least-squares fit of the projection
-    # shape to the numeric point on its support
-    form = FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW
-    theta, z, _ = _fit_form(form, alpha, qv[support], lin.f[:, support], res.x[support])
-    init = np.concatenate([theta, [z]])
-    refit = _parametric_solve(qa, lin.f, lin.a, alpha, support, init=init)
-    if refit is None:
-        refit = _parametric_solve(qa, lin.f, lin.a, alpha, support)
-    if refit is None:
-        raise NoConvergence("parametric refit after fallback failed")
-    # the refit holds on SLSQP's support only; a face symbol SLSQP left empty
-    # must have a non-positive bracket as well
-    theta, z, _ = refit
-    bracket = qa + (1.0 - alpha) * (z + theta @ lin.f)
-    if np.any(bracket[lin.support_mask() & ~support] > CLAMP_TOL):
-        raise NoConvergence("fallback left a face symbol empty with a positive bracket", best_theta=theta)
-    return refit
 
 
 # --- certificates ----------------------------------------------------------------

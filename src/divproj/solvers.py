@@ -33,7 +33,7 @@ ARMIJO_FACTOR = 0.5
 MAX_HALVINGS = 30
 # Iterates are confined to this box (desk-scale statistics are O(1)); a
 # residual that only vanishes along an unbounded ray (degenerate samples,
-# supremum at infinity) escapes it and is reported as NoConvergence.
+# supremum at infinity) runs into it and is reported as NoConvergence.
 THETA_CAP = 15.0
 
 
@@ -101,10 +101,11 @@ def solve_residual(
     the residual scaled to unit infinity norm (the line search only shrinks
     a step, and ||r|| is tiny where the objective is flat), and a trial
     point the ||r||^2 test rejects is accepted when the objective rises
-    strictly.  A run that stops short of ``tol`` raises ``NoConvergence``
-    naming why: the iterate left the box |theta_j| <= THETA_CAP, the
-    Jacobian stencil left the admissible region, the line search ran out
-    of halvings, or the iteration cap was hit.
+    strictly.  A trial point outside the box |theta_j| <= THETA_CAP counts
+    as inadmissible.  A run that stops short of ``tol`` raises
+    ``NoConvergence`` naming why: the Jacobian stencil left the admissible
+    region, the line search ran out of halvings (against the box, when the
+    full step left it), or the iteration cap was hit.
     """
     theta = np.zeros(theta_dim) if init is None else np.asarray(init, dtype=float).copy()
     r = _try_residual(residual_fn, theta)
@@ -117,9 +118,6 @@ def solve_residual(
     for it in range(1, max_iter + 1):
         if norm <= tol:
             iters = it - 1
-            break
-        if float(np.max(np.abs(theta))) > THETA_CAP:
-            iters, reason = it - 1, f"iterates escaped the solver box |theta| <= {THETA_CAP:g} (a supremum may lie at infinity)"
             break
         try:
             jac = fd_jacobian(residual_fn, theta, r0=r)
@@ -136,7 +134,8 @@ def solve_residual(
         t = 1.0
         for _ in range(MAX_HALVINGS + 1):
             cand = theta + t * step
-            rc = _try_residual(residual_fn, cand)
+            # a trial point outside the box is inadmissible, so the step halves
+            rc = _try_residual(residual_fn, cand) if np.max(np.abs(cand)) <= THETA_CAP else None
             if rc is not None:
                 if float(rc @ rc) <= phi * (1.0 - 1e-4 * t):
                     theta, r, value = cand, rc, None
@@ -151,6 +150,8 @@ def solve_residual(
             t *= ARMIJO_FACTOR
         else:
             iters, reason = it, "the line search ran out of halvings"
+            if np.max(np.abs(theta + step)) > THETA_CAP:  # the box is convex
+                reason += f" against the solver box |theta| <= {THETA_CAP:g} (a supremum may lie at infinity)"
             break
         norm = float(np.max(np.abs(r)))
         trace.append((theta.copy(), norm))

@@ -27,7 +27,7 @@ from divproj.families import (
     member_with_normalizer,
 )
 from divproj.measures import Alphabet, Distribution, SampleData, empirical
-from divproj.solvers import fd_jacobian
+from divproj.solvers import THETA_CAP, fd_jacobian
 
 from conftest import (
     random_admissible_theta,
@@ -339,6 +339,32 @@ class TestEstimatingRouteStart:
         with pytest.raises(NoConvergence, match="inadmissible") as err:
             solver(EstimatorKind.JONES, self.SPEC, sample, init=[5.0])
         assert np.array_equal(err.value.best_theta, [5.0])
+
+
+class TestSolverBox:
+    """A trial point outside |theta| <= THETA_CAP is inadmissible, so a long
+    Newton step from a far start halves back into the box, and a run the
+    box stops names it."""
+
+    @pytest.mark.parametrize("solver", [solve_estimating_equation, maximize_likelihood])
+    def test_supremum_at_infinity_names_the_box(self, solver):
+        degenerate = SampleData.from_counts([0, 10], AB)
+        with pytest.raises(NoConvergence, match=r"solver box \|theta\| <= 15 \(a supremum") as err:
+            solver(EstimatorKind.MLE, BERNOULLI, degenerate)
+        assert 14.0 < err.value.best_theta[0] <= THETA_CAP
+
+    @pytest.mark.parametrize("solver", [solve_estimating_equation, maximize_likelihood])
+    def test_far_start_converges_inside_the_box(self, solver):
+        # a full Newton step from this start lands far outside the box
+        rng = rng_of(9001)
+        spec = random_family(rng, FamilyKind.EXPONENTIAL, m=4, k=2)
+        sample = sample_from(spec, random_admissible_theta(rng, spec), 200, rng)
+        start = rng.uniform(-6.0, 6.0, 2)
+        assert np.allclose(start, [0.251, -5.938], atol=1e-3)
+        rep = solver(EstimatorKind.MLE, spec, sample, init=start)
+        ref = solver(EstimatorKind.MLE, spec, sample)
+        assert np.max(np.abs(rep.theta_star - ref.theta_star)) <= 1e-8
+        assert all(np.max(np.abs(theta)) <= THETA_CAP for theta, _ in rep.trace)
 
 
 class TestHellingerJonesEquivalence:

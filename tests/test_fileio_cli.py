@@ -463,6 +463,30 @@ class TestCLI:
             assert "finite" in report["message"]
             assert "Warning" not in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("theta", ["1.7e308", "-1.7e308"])
+    @pytest.mark.parametrize("kind", [kind.value for kind in FamilyKind])
+    def test_overflowing_tilt_exit_one(self, capsys, files, tmp_path, kind, theta):
+        # theta.f overflows on both symbols, so theta is inadmissible
+        fam = tmp_path / "wide.json"
+        fam.write_text(json.dumps({"kind": kind, "alpha": 2.0, "q": [0.5, 0.5], "f": [[-1.5, 1.5]],
+                                   "alphabet": ["a", "b"]}))
+        estimate = ["estimate", "--kind", "mle", "--family", str(fam), "--sample", files["smp"], f"--init={theta}"]
+        for argv in (
+            ["family", "eval", "--spec", str(fam), f"--theta={theta}"],
+            ["sample", "--family", str(fam), f"--theta={theta}", "--n", "3"],
+            estimate,
+            [*estimate, "--route", "lik"],
+        ):
+            code, out, err = self.run(capsys, *argv)
+            assert code == 1 and err == ""
+            report = json.loads(out, parse_constant=_refuse_constant)
+            if report["error"] == "NoConvergence":
+                assert report["message"] == "start is inadmissible"
+            else:
+                assert report["error"] in ("DomainViolation", "NormalizerNotFound")
+                assert report["message"] == "theta.f overflows on some symbols"
+
     def test_exact_tie_on_the_reverse_grid_exit_zero(self, capsys, files, tmp_path):
         # theta and -theta tie on this symmetric family and sample
         smp = tmp_path / "even.json"
@@ -634,7 +658,7 @@ print(json.dumps([code, after_import, after_run]), file=sys.stderr)
 
 
 def test_import_and_divergence_leave_scipy_unloaded(files):
-    # scipy is imported only by the LP and SLSQP paths
+    # scipy is imported only by the linear family's LPs
     src = os.path.dirname(os.path.dirname(os.path.abspath(divproj.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divproj.families
-import divproj.projection
 from divproj.divergences import DivergenceKind, density_power
 from divproj.errors import DomainError, NoConvergence
 from divproj.estimators import EstimatorKind, solve_estimating_equation
@@ -256,59 +255,64 @@ class TestWrongClampStall:
         assert residual <= 1e-8 and clamp_ok
 
 
-class TestSlsqpFallback:
-    # alpha = 10: the dual Newton fails on this family, so the projection
-    # falls back to SLSQP and certifies its point with a parametric refit
+class TestNewtonRestart:
+    # alpha = 10: the dual Newton from (theta, Z) = 0 stalls on this family;
+    # the restart from the shape fitted to the family's centre solves it
     Q = [0.09245055042079164, 0.45176110653873947, 0.455788343040469]
     F = [[-0.9910389122008587, 0.5018831915877722, -0.8625885488683183]]
     A = [-0.3335106145567373]
 
-    def test_precision_limited_exit_still_seeds_the_refit(self, monkeypatch):
-        # SLSQP's exit 8 ("positive directional derivative") is its
-        # precision limit; its point still seeds the refit
-        original = divproj.projection.minimize
-        calls = []
-
-        def precision_limited(*args, **kwargs):
-            res = original(*args, **kwargs)
-            calls.append(res.status)
-            res.success, res.status = False, 8
-            res.message = "Positive directional derivative for linesearch"
-            return res
-
-        monkeypatch.setattr(divproj.projection, "minimize", precision_limited)
+    def test_restart_from_the_centre_is_certified(self):
         q = Distribution(Alphabet.of_size(3), self.Q)
         lin = LinearFamilySpec(np.array(self.F), np.array(self.A), alphabet=q.alphabet)
         res = forward_dpd_projection(q, lin, 10.0)
-        assert len(calls) == 1
-        assert lin.contains(res.p_star, tol=1e-9)
+        assert lin.contains(res.p_star, tol=1e-10)
         assert np.all(res.kkt_multipliers["mu"] >= -1e-12)
         _, _, residual, clamp_ok = fit_projection_form(res.p_star, q, lin, 10.0)
         assert residual <= 1e-8 and clamp_ok
 
-    def test_refit_is_certified_on_the_family_face(self):
-        # the face is x1..x4; SLSQP leaves x1 empty, and the refit on its
-        # support gives x1 a positive bracket (mu(x1) = -5.8e-6)
+    def test_stall_after_the_restart_names_its_best_iterate(self):
+        # the face is x1..x4; both Newton runs stall at alpha = 10
         q = Distribution(Alphabet.of_size(5), [0.123074, 0.051425, 0.553119, 0.118292, 0.154090])
         f = np.array([[1.398044] + [0.398044] * 4, [0.880119, 0.532317, 0.011459, 0.707209, 0.109244]])
         lin = LinearFamilySpec(f, np.array([0.398044, 0.14491]), alphabet=q.alphabet)
         assert lin.support_mask().tolist() == [False, True, True, True, True]
-        with pytest.raises(NoConvergence, match="face symbol") as err:
+        with pytest.raises(NoConvergence, match="family's centre") as err:
             forward_dpd_projection(q, lin, 10.0)
         assert err.value.best_theta.shape == (2,)
+        assert err.value.best_residual > 1e-10
 
 
-@pytest.mark.parametrize("alpha", [0.5, 2.0])
-def test_fuzz_corpus_needs_no_fallback(monkeypatch, alpha):
-    # the dual Newton alone solves the corpus's first 100 families
-    def refuse(*args, **kwargs):
-        raise AssertionError("SLSQP fallback ran")
+class TestSingleMemberFamily:
+    # f pins P(x0) and P(x2), so the family is the single point
+    # (0.3, 0.7 - a1, a1); Newton alone stalls on it at alpha >= 3
+    Q = Distribution(A3, [0.3, 0.3, 0.4])
+    F = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
-    monkeypatch.setattr(divproj.projection, "minimize", refuse)
-    for q, f, a in itertools.islice(forward_corpus(), 100):
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a1, alpha", [(1e-9, 3.0), (1e-3, 5.0)])
+    def test_member_is_returned_directly(self, a1, alpha):
+        lin = LinearFamilySpec(self.F, np.array([0.3, a1]), alphabet=A3)
+        res = forward_dpd_projection(self.Q, lin, alpha)
+        assert np.max(np.abs(res.p_star.probs - [0.3, 0.7 - a1, a1])) <= 1e-15
+        assert lin.contains(res.p_star, tol=1e-15)
+        _, _, residual, clamp_ok = fit_projection_form(res.p_star, self.Q, lin, alpha)
+        assert residual <= 1e-15 and clamp_ok
+        assert np.all(res.kkt_multipliers["mu"] == 0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 2.0, 3.0])
+def test_fuzz_corpus_is_solved_and_certified(alpha):
+    # the corpus's first 200 families, single-member faces included
+    for q, f, a in itertools.islice(forward_corpus(), 200):
         lin = LinearFamilySpec(f, a, alphabet=q.alphabet)
-        p = forward_dpd_projection(q, lin, alpha).p_star.probs
+        res = forward_dpd_projection(q, lin, alpha)
+        p = res.p_star.probs
         assert np.max(np.abs(f @ p - a)) <= 1e-10 and abs(p.sum() - 1.0) <= 1e-10
+        _, _, residual, clamp_ok = fit_projection_form(res.p_star, q, lin, alpha)
+        assert residual <= 1e-8 and clamp_ok
+        if alpha > 1.0:
+            assert np.all(res.kkt_multipliers["mu"] >= -1e-12)
 
 
 class TestBoundaryFaces:
