@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -61,37 +62,43 @@ _MODEL_ALIASES = {
 # --- report plumbing ----------------------------------------------------------
 
 
-def _sig12(value):
-    """Round to 12 significant digits (round-trips through JSON)."""
-    if isinstance(value, float):
-        return float(f"{value:.12g}")
-    return value
-
-
-def _clean(value):
+def _clean(value, path: str, nonfinite: dict):
+    """``value`` as JSON values, numbers at 12 significant digits; a
+    non-finite number becomes None, and ``nonfinite`` maps its dotted path
+    (``value``, ``kkt.mu.2``) to "inf", "-inf" or "nan"."""
     if isinstance(value, dict):
-        return {k: _clean(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_clean(v) for v in value]
+        return {k: _clean(v, f"{path}.{k}" if path else str(k), nonfinite) for k, v in value.items()}
     if isinstance(value, np.ndarray):
-        if np.issubdtype(value.dtype, np.integer) or value.dtype == bool:
-            return [_clean(v.item()) for v in value.ravel()]
-        return [_clean(float(v)) for v in value.ravel()]
-    if isinstance(value, (np.floating,)):
-        return _sig12(float(value))
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
+        value = value.ravel().tolist()
+    if isinstance(value, (list, tuple)):
+        return [_clean(v, f"{path}.{i}", nonfinite) for i, v in enumerate(value)]
+    if isinstance(value, np.generic):
+        value = value.item()
     if isinstance(value, float):
-        return _sig12(value)
+        if not math.isfinite(value):
+            nonfinite[path] = str(value)
+            return None
+        return float(f"{value:.12g}")  # 12 significant digits round-trip through JSON
     return value
+
+
+def _json_report(report: dict, nan_ok: bool = True) -> dict:
+    """The report in strict JSON values, with a "nonfinite" entry naming
+    every number printed as null.  A NaN is no answer: with ``nan_ok``
+    false it raises NumericFailure."""
+    nonfinite = {}
+    report = _clean(report, "", nonfinite)
+    nan = [path for path, kind in nonfinite.items() if kind == "nan"]
+    if nan and not nan_ok:
+        raise NumericFailure(f"report holds NaN at {', '.join(nan)}")
+    if nonfinite:
+        report["nonfinite"] = nonfinite
+    return report
 
 
 def _emit(report: dict, config: RunConfig) -> None:
-    report = _clean(report)
     if config.output_format == "json":
-        print(json.dumps(report, sort_keys=True))
+        print(json.dumps(report, sort_keys=True, allow_nan=False))
         return
     def walk(prefix, value):
         if isinstance(value, dict):
@@ -510,15 +517,16 @@ def main(argv=None) -> int:
             max_iterations=args.max_iter,
         )
         report = args.handler(args, cfg)
+        report["command"] = _command_name(args)
+        report["seed"] = cfg.rng_seed
+        report = _json_report(report, nan_ok=False)
     except InputError as exc:
         print(f"divproj: {exc}", file=sys.stderr)
-        _emit(_failure_report(args, exc, cfg), cfg)
+        _emit(_json_report(_failure_report(args, exc, cfg)), cfg)
         return 2
     except NumericFailure as exc:
-        _emit(_failure_report(args, exc, cfg), cfg)
+        _emit(_json_report(_failure_report(args, exc, cfg)), cfg)
         return 1
-    report["command"] = _command_name(args)
-    report["seed"] = cfg.rng_seed
     _emit(report, cfg)
     return 0
 

@@ -10,7 +10,9 @@ two arguments broadcast: a (m,) vector against a (n, m) matrix evaluates
 D(P_i, q) or D(p, Q_i) row by row, which is what the grid oracles need, and
 the scalar functions are validating wrappers that call the kernel with one
 row.  Log-sum terms are max-shifted so that alpha >= 3 on skewed
-distributions can neither underflow nor overflow.
+distributions can neither underflow nor overflow; at an alpha so large
+that alpha * log Q itself overflows (near 1e308), the term saturates to
++-inf without a warning, as the power it stands for would.
 
 Boundary (non-strict) distributions are accepted only where the mathematics
 stays meaningful: KL uses the standard 0*log(0) = 0 convention, the density
@@ -50,7 +52,7 @@ def _log_sum_exp(terms: np.ndarray) -> np.ndarray:
     terms = np.where(np.isnan(terms), -np.inf, terms)
     top = np.max(terms, axis=-1)
     shift = np.where(np.isfinite(top), top, 0.0)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         return np.log(np.sum(np.exp(terms - shift[..., None]), axis=-1)) + shift
 
 
@@ -61,7 +63,7 @@ def _kl_kernel(p, q):
 
 
 def _renyi_kernel(p, q, alpha):
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         terms = alpha * np.log(p) + (1.0 - alpha) * np.log(q)
     return _log_sum_exp(terms) / (alpha - 1.0)
 
@@ -76,10 +78,10 @@ def _density_power_kernel(p, q, alpha):
 
 
 def _rel_alpha_entropy_kernel(p, q, alpha):
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         lp, lq = np.log(p), np.log(q)
         log_cross = _log_sum_exp(lp + (alpha - 1.0) * lq)
-    log_p, log_q = _log_sum_exp(alpha * lp), _log_sum_exp(alpha * lq)
+        log_p, log_q = _log_sum_exp(alpha * lp), _log_sum_exp(alpha * lq)
     return alpha / (1.0 - alpha) * log_cross - log_p / (1.0 - alpha) + log_q
 
 

@@ -27,8 +27,10 @@ some symbol is inadmissible, like one whose bracket is non-positive or
 whose tilt theta.f overflows.
 
 The linear family {P : f P = a} solves its linear programs once, at
-construction, and caches the centre, margin and support face they give;
-scipy is imported on the first such LP, not with this module.
+construction, and caches the centre, margin and support face they give.
+The LPs are small (a row per statistic, the mass row and, in the max-min
+LP, a row per symbol), so a dense two-phase tableau simplex in numpy,
+``linprog``, solves them; the module needs no scipy.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .errors import (
     DomainViolation,
     InfeasibleError,
     InvalidDistribution,
+    NoConvergence,
     NormalizerNotFound,
 )
 from .measures import Alphabet, Distribution, alpha_norm, check_alpha, escort
@@ -151,7 +154,9 @@ def _check_theta(spec: FamilySpec, theta) -> np.ndarray:
 
 def _bracket(spec: FamilySpec, tilt: np.ndarray, z=0.0) -> np.ndarray:
     """The defining bracket of a power-law kind at tilt = theta.f (any leading
-    axes); ``z`` enters only for the non-normalized kind."""
+    axes); ``z`` enters only for the non-normalized kind.  A finite tilt
+    times (1 - a) can overflow to +-inf: callers evaluate it under
+    ``np.errstate(over="ignore")``, and such a theta is inadmissible."""
     a = spec.alpha
     if spec.kind is FamilyKind.ALPHA_EXPONENTIAL:
         return spec.q.probs ** (1.0 - a) + (1.0 - a) * tilt
@@ -170,13 +175,14 @@ def _tilt(spec: FamilySpec, thetas: np.ndarray) -> np.ndarray:
 
 def bracket_values(spec: FamilySpec, theta, z: float = 0.0) -> np.ndarray:
     """The defining bracket u(x) of a power-law kind, per symbol (NaN where
-    theta.f overflows)."""
+    theta.f overflows, +-inf where the bracket does)."""
     theta = _check_theta(spec, theta)
     if spec.kind is FamilyKind.EXPONENTIAL:
         raise DomainError("exponential family has no bracket")
     if spec.kind is FamilyKind.ALPHA_POWER_LAW:
         z = 0.0
-    return _bracket(spec, _tilt(spec, theta), z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _bracket(spec, _tilt(spec, theta), z)
 
 
 def is_admissible(spec: FamilySpec, theta) -> bool:
@@ -218,17 +224,20 @@ def _members(spec: FamilySpec, thetas: np.ndarray, z=None):
         ok = ~np.isnan(shift)
     else:
         found = True
-        if spec.kind is FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW:
-            if z is None:
-                z, found = _normalizer_rows(spec, tilt)[:2]
-            bracket = _bracket(spec, tilt, z[:, None])
-        else:
-            bracket = _bracket(spec, tilt)
-        ok = _by_row(np.logical_and, bracket > 0.0) & found
-        w = bracket
-        w[~ok] = np.nan
-        w **= 1.0 / (1.0 - a) if spec.kind is FamilyKind.ALPHA_EXPONENTIAL else 1.0 / (a - 1.0)
-        total = _by_row(np.add, w)
+        if spec.kind is FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW and z is None:
+            z, found = _normalizer_rows(spec, tilt)[:2]
+        # a bracket, or its power, may overflow to inf: that member's mass
+        # is lost, as it is when the power underflows on every symbol
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = _bracket(spec, tilt, z[:, None] if z is not None else 0.0)
+            ok = _by_row(np.logical_and, w > 0.0) & found
+            w[~ok] = np.nan
+            w **= 1.0 / (1.0 - a) if spec.kind is FamilyKind.ALPHA_EXPONENTIAL else 1.0 / (a - 1.0)
+            total = _by_row(np.add, w)
+        lost = ok & ((total == np.inf) | (total == 0.0))
+        if lost.any():
+            ok &= ~lost
+            w[lost] = np.nan
         w /= total[:, None]
         if spec.kind is not FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW:
             z = total
@@ -251,9 +260,15 @@ def member_with_normalizer(spec: FamilySpec, theta) -> tuple[Distribution, float
         if overflow.any():
             raise DomainViolation("theta.f overflows on some symbols", symbols=_symbols(spec, overflow))
         if spec.kind is not FamilyKind.EXPONENTIAL:
-            symbols = _symbols(spec, bracket_values(spec, theta, z[0]) <= 0.0)
+            bracket = bracket_values(spec, theta, z[0])
+            overflow = ~np.isfinite(bracket)
+            if overflow.any():
+                raise DomainViolation("bracket overflows on some symbols", symbols=_symbols(spec, overflow))
+            symbols = _symbols(spec, bracket <= 0.0)
             if symbols:
                 raise DomainViolation("bracket non-positive on some symbols", symbols=symbols)
+            if z[0] == np.inf:
+                raise DomainViolation("member's mass overflows", symbols=spec.alphabet.symbols)
         raise DomainViolation("member underflows to 0 on some symbols", symbols=_symbols(spec, np.isnan(probs[0])))
     return Distribution(spec.alphabet, probs[0], strict=True), float(z[0])
 
@@ -318,7 +333,7 @@ def _normalizer_rows(spec: FamilySpec, tilt: np.ndarray):
         return _by_row(np.add, bracket**expo), -_by_row(np.add, bracket ** (expo - 1.0)), admissible
 
     n = len(tilt)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         z_edge = _by_row(np.minimum if a > 1.0 else np.maximum, qa / (a - 1.0) - tilt)
         if a > 1.0:
             lo, hi = z_edge - 1.0 / (a - 1.0), z_edge
@@ -492,42 +507,116 @@ def theta_of_member(spec: FamilySpec, p: Distribution, tol: float = 1e-8) -> np.
 SUPPORT_TOL = 1e-12  # least mass a symbol of the support face can carry
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on first call: only linear
-    families pay for importing scipy."""
-    from scipy.optimize import linprog as _linprog
+# on row-scaled data: the least entry pivoted on and the largest phase-1
+# residual that counts as feasible; and the rounding level, below which a
+# negative reduced cost (relative to the costs) is 0 and two ratios tie
+LP_TOL = 1e-9
+LP_ROUNDING = 1e-12
 
-    return _linprog(*args, **kwargs)
+
+def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    tableau[row] /= tableau[row, col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    tableau -= np.outer(factors, tableau[row])
+    basis[row] = col
+
+
+def _simplex(tableau: np.ndarray, basis: np.ndarray, n: int, tol: float) -> int:
+    """Pivot by Bland's rule until no column below ``n`` has a reduced cost
+    under -tol: the lowest such column enters, and the lowest basic variable
+    among the least ratios leaves.  Returns 0 (optimal) or 3 (unbounded)."""
+    rows = len(basis)
+    for _ in range(50 * (rows + n)):
+        entering = np.flatnonzero(tableau[-1, :n] < -tol)
+        if not entering.size:
+            return 0
+        col = entering[0]
+        rising = np.flatnonzero(tableau[:rows, col] > LP_TOL)
+        if not rising.size:
+            return 3
+        ratio = np.maximum(tableau[rising, -1], 0.0) / tableau[rising, col]
+        tied = rising[ratio <= ratio.min() + LP_ROUNDING]
+        _pivot(tableau, basis, tied[np.argmin(basis[tied])], col)
+    raise NoConvergence("simplex hit its pivot cap")
+
+
+def linprog(c, A, b):
+    """min c.x subject to A x = b and x >= 0, by a dense two-phase tableau
+    simplex with Bland's rule.
+
+    Each row of (A, b) is scaled by the power of two at its largest
+    coefficient and signed so that b >= 0, so LP_TOL is relative to the
+    data.  A column that is then a unit vector e_r starts basic in row r;
+    every other row starts from an artificial variable.  Phase 1 minimizes
+    the sum of the artificials and calls the LP infeasible when it stays
+    above LP_TOL; artificials left basic at 0 are pivoted out where their
+    row has a usable entry (a redundant row keeps its own).  Phase 2 starts
+    from that basis with the true costs.  The answer is read off the optimal
+    basis by solving its two square systems afresh, not off the tableau,
+    whose pivots on small entries amplify rounding.
+
+    Returns ``(status, x, y)`` with scipy's status codes (0 optimal, 2
+    infeasible, 3 unbounded); ``x`` and the equality duals ``y`` (c - A^T y
+    >= 0 and b.y = c.x at the optimum) are None unless status is 0.
+    """
+    c, A, b = (np.asarray(v, dtype=float) for v in (c, A, b))
+    rows, n = A.shape
+    # the least power of two at or above the row's largest entry: exact, so
+    # the scaled data round nothing, and a row of 0s and 1s stays as it is
+    mantissa, exponent = np.frexp(np.max(np.abs(A), axis=1, initial=0.0))
+    d = np.where(b < 0.0, -1.0, 1.0) / np.ldexp(1.0, exponent - (mantissa == 0.5))
+    scaled = np.hstack([A * d[:, None], np.eye(rows), (b * d)[:, None]])
+    nonzero = scaled[:, :n] != 0.0
+    units = np.flatnonzero((nonzero.sum(axis=0) == 1) & (scaled[:, :n].max(axis=0, initial=0.0) == 1.0))
+    basis = np.arange(n, n + rows)
+    basis[np.argmax(nonzero[:, units], axis=0)] = units
+    artificial = basis >= n
+    tableau = np.vstack([scaled, -scaled[artificial].sum(axis=0)])
+    tableau[-1, n:-1] = ~artificial  # the phase-1 cost of a nonbasic artificial
+    _simplex(tableau, basis, n, LP_ROUNDING)
+    if -tableau[-1, -1] > LP_TOL:
+        return 2, None, None
+    for row in np.flatnonzero(basis >= n):
+        col = int(np.argmax(np.abs(tableau[row, :n])))
+        if abs(tableau[row, col]) > LP_TOL:
+            _pivot(tableau, basis, row, col)
+    cost = np.concatenate([c, np.zeros(rows + 1)])
+    tableau[-1] = cost - cost[basis] @ tableau[:rows]
+    status = _simplex(tableau, basis, n, LP_ROUNDING * max(1.0, float(np.max(np.abs(c), initial=0.0))))
+    if status != 0:
+        return status, None, None
+    matrix = scaled[:, basis]
+    x = np.zeros(n + rows)
+    x[basis] = np.maximum(np.linalg.solve(matrix, scaled[:, -1]), 0.0)
+    return 0, x[:n], np.linalg.solve(matrix.T, cost[basis]) * d
 
 
 def _max_min_member(f: np.ndarray, a: np.ndarray, columns: np.ndarray):
     """The LP max t s.t. f P = a, sum P = 1, P >= t on ``columns``, P = 0
     elsewhere: the member whose smallest coordinate on ``columns`` is largest.
 
+    Each P_j >= t becomes t - P_j + u_j = 0 with a slack u_j >= 0, so the LP
+    keeps the data as given, a P_j that must vanish is an exact 0, and the
+    slacks start phase 1 basic.
     Returns ``(P, t)``, or None when no member is supported on ``columns``.
     """
-    k, m = f.shape
-    sub = np.ascontiguousarray(f[:, columns])  # C order, as f itself: same BLAS path
-    s = sub.shape[1]
-    c = np.zeros(s + 1)
+    sub = f[:, columns]
+    k, s = sub.shape
+    A = np.zeros((k + 1 + s, 2 * s + 1))
+    A[:k, :s] = sub
+    A[k, :s] = 1.0
+    A[k + 1:, :s] = -np.eye(s)
+    A[k + 1:, s] = 1.0
+    A[k + 1:, s + 1:] = np.eye(s)
+    c = np.zeros(2 * s + 1)
     c[s] = -1.0
-    A_eq = np.hstack([np.vstack([sub, np.ones((1, s))]), np.zeros((k + 1, 1))])
-    b_eq = np.concatenate([a, [1.0]])
-    A_ub = np.hstack([-np.eye(s), np.ones((s, 1))])
-    res = linprog(
-        c,
-        A_eq=A_eq,
-        b_eq=b_eq,
-        A_ub=A_ub,
-        b_ub=np.zeros(s),
-        bounds=[(0.0, 1.0)] * s + [(0.0, 1.0)],
-        method="highs",
-    )
-    if res.status != 0:
+    status, x, _ = linprog(c, A, np.concatenate([a, [1.0], np.zeros(s)]))
+    if status != 0:
         return None
-    probs = np.zeros(m)
-    probs[columns] = res.x[:s]
-    return probs, float(res.x[s])
+    probs = np.zeros(f.shape[1])
+    probs[columns] = x[:s]
+    return probs, float(x[s])
 
 
 @dataclass(frozen=True)
@@ -582,11 +671,11 @@ class LinearFamilySpec:
             for i in np.flatnonzero(center <= SUPPORT_TOL):
                 c = np.zeros(self.m)
                 c[i] = -1.0  # maximize P(x_i)
-                res = linprog(c=c, A_eq=A_eq, b_eq=b_eq, bounds=[(0.0, None)] * self.m, method="highs")
-                support[i] = bool(res.status == 0 and -res.fun > SUPPORT_TOL)
-                if res.status == 0 and not support[i]:
+                status, x, y = linprog(c, A_eq, b_eq)
+                support[i] = bool(status == 0 and x[i] > SUPPORT_TOL)
+                if status == 0 and not support[i]:
                     # the LP dual y has y.(a, 1) = 0 and (f; 1)^T y <= -e_i
-                    certificate -= res.eqlin.marginals
+                    certificate -= y
         if not support.all():
             solved = _max_min_member(f, a, support)
             if solved is None:

@@ -381,3 +381,28 @@ class TestUnderflow:
         assert ok.tolist() == [True, False, False]
         assert np.all(probs[0] > 0.0)
         assert np.isnan(probs[1, 0]) and np.isnan(probs[2, 1])
+
+
+class TestPowerOverflow:
+    """A finite, positive bracket raised to the member's power can still
+    over- or underflow on every symbol; that theta is inadmissible too."""
+
+    # Q = (0.5, 0.5), f = (1, 2): the bracket is positive on both symbols
+    # and near 1e200, so its power 1/(a-1) or 1/(1-a) is about 1e+-400
+    CASES = [
+        (FamilyKind.ALPHA_POWER_LAW, 1.5, -1e200, "member's mass overflows"),
+        (FamilyKind.ALPHA_EXPONENTIAL, 0.5, 1e200, "member's mass overflows"),
+        (FamilyKind.ALPHA_POWER_LAW, 0.5, 1e200, "member underflows to 0 on some symbols"),
+        (FamilyKind.ALPHA_EXPONENTIAL, 1.5, -1e200, "member underflows to 0 on some symbols"),
+    ]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind, alpha, theta, message", CASES)
+    def test_scalar_and_batch_agree_without_a_warning(self, kind, alpha, theta, message):
+        spec = FamilySpec(kind, Q_UNIFORM2, np.array([[1.0, 2.0]]), alpha=alpha)
+        with pytest.raises(DomainViolation, match=message) as err:
+            eval_member(spec, [theta])
+        assert err.value.symbols == ("a", "b")
+        probs, ok = eval_members_batch(spec, np.array([[0.0], [theta]]))
+        assert ok.tolist() == [True, False]
+        assert np.all(probs[0] > 0.0) and np.isnan(probs[1]).all()

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import divproj
+import divproj.cli
 
 from divproj.cli import main, sample_generator
 from divproj.config import RunConfig, load_config, override
@@ -183,6 +184,44 @@ class TestCLI:
         report = json.loads(out)
         assert report["value"] == 0.0
         assert report["seed"] == 0
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("kind", ["dpd", "rae", "renyi"])
+    def test_infinite_divergence_prints_null_and_names_it(self, capsys, tmp_path, kind, fmt):
+        # P = (1, 0) is not absolutely continuous w.r.t. Q = (0, 1): at alpha
+        # < 1 the divergence is +inf, a right answer that JSON cannot spell
+        p, q = tmp_path / "p.json", tmp_path / "q.json"
+        p.write_text(json.dumps({"alphabet": ["a", "b"], "probs": [1.0, 0.0]}))
+        q.write_text(json.dumps({"alphabet": ["a", "b"], "probs": [0.0, 1.0]}))
+        code, out, err = self.run(capsys, "--format", fmt, "divergence", "--kind", kind, "--alpha", "0.5",
+                                  "--p", str(p), "--q", str(q))
+        assert code == 0 and err == ""
+        if fmt == "text":
+            assert "value = None" in out.splitlines() and "nonfinite.value = inf" in out.splitlines()
+            return
+        report = json.loads(out, parse_constant=_refuse_constant)
+        assert report["value"] is None
+        assert report["nonfinite"] == {"value": "inf"}
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["rae", "renyi"])
+    def test_log_powers_that_overflow_warn_nothing(self, capsys, tmp_path, kind):
+        # at alpha = 1e308, alpha * log Q(a) = -3e308 overflows: the power Q(a)^alpha it
+        # stands for underflows, and the log-sum terms saturate to -inf without a warning
+        p, q = tmp_path / "p.json", tmp_path / "q.json"
+        p.write_text(json.dumps({"alphabet": ["a", "b", "c"], "probs": [0.2, 0.3, 0.5]}))
+        q.write_text(json.dumps({"alphabet": ["a", "b", "c"], "probs": [0.05, 0.325, 0.625]}))
+        code, out, err = self.run(capsys, "divergence", "--kind", kind, "--alpha=1e308", "--p", str(p), "--q", str(q))
+        assert code == 0 and err == ""
+        assert json.loads(out, parse_constant=_refuse_constant)["command"] == "divergence"
+
+    def test_nan_in_a_report_is_a_numeric_failure(self, capsys, files, monkeypatch):
+        monkeypatch.setattr(divproj.cli, "divergence", lambda *args, **kwargs: float("nan"))
+        code, out, _ = self.run(capsys, "divergence", "--kind", "kl", "--p", files["p"], "--q", files["p"])
+        assert code == 1
+        report = json.loads(out, parse_constant=_refuse_constant)
+        assert report["error"] == "NumericFailure"
+        assert report["message"] == "report holds NaN at value"
 
     def test_estimate_both_routes_reports_gap(self, capsys, files):
         code, out, _ = self.run(
@@ -466,10 +505,14 @@ class TestCLI:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("theta", ["1.7e308", "-1.7e308"])
     @pytest.mark.parametrize("kind", [kind.value for kind in FamilyKind])
-    def test_overflowing_tilt_exit_one(self, capsys, files, tmp_path, kind, theta):
-        # theta.f overflows on both symbols, so theta is inadmissible
+    @pytest.mark.parametrize("alpha, f", [(2.0, [[-1.5, 1.5]]), (5.0, [[-0.5, 0.5]]), (1.5, [[-0.5, 0.5]])])
+    def test_overflowing_tilt_exit_one(self, capsys, files, tmp_path, kind, theta, alpha, f):
+        # at alpha = 2 theta.f overflows on both symbols; at alpha = 5 theta.f
+        # is finite and only (1 - alpha) theta.f in the bracket overflows; at
+        # alpha = 1.5 the brackets are finite and the normalizer's powers of
+        # them overflow.  Either way theta is inadmissible
         fam = tmp_path / "wide.json"
-        fam.write_text(json.dumps({"kind": kind, "alpha": 2.0, "q": [0.5, 0.5], "f": [[-1.5, 1.5]],
+        fam.write_text(json.dumps({"kind": kind, "alpha": alpha, "q": [0.5, 0.5], "f": f,
                                    "alphabet": ["a", "b"]}))
         estimate = ["estimate", "--kind", "mle", "--family", str(fam), "--sample", files["smp"], f"--init={theta}"]
         for argv in (
@@ -483,9 +526,16 @@ class TestCLI:
             report = json.loads(out, parse_constant=_refuse_constant)
             if report["error"] == "NoConvergence":
                 assert report["message"] == "start is inadmissible"
-            else:
+            elif alpha == 2.0:
                 assert report["error"] in ("DomainViolation", "NormalizerNotFound")
                 assert report["message"] == "theta.f overflows on some symbols"
+            else:
+                assert (report["error"], report["message"]) in {
+                    ("DomainViolation", "bracket overflows on some symbols"),
+                    ("DomainViolation", "bracket non-positive on some symbols"),
+                    ("DomainViolation", "member underflows to 0 on some symbols"),  # the exponential kind
+                    ("NormalizerNotFound", "total mass stays above 1 on the admissible interval"),
+                }
 
     def test_exact_tie_on_the_reverse_grid_exit_zero(self, capsys, files, tmp_path):
         # theta and -theta tie on this symmetric family and sample
@@ -640,7 +690,7 @@ class TestCLIContract:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([*glob, *_cli_argv(cli_files, command, x, n, g, v)])
         assert code in (0, 1, 2)
-        report = json.loads(out.getvalue())
+        report = json.loads(out.getvalue(), parse_constant=_refuse_constant)
         assert isinstance(report, dict)
         assert report["command"] == command.replace(" ", ".")
         assert "Traceback" not in err.getvalue()
@@ -651,18 +701,31 @@ import json
 import sys
 import divproj.cli
 after_import = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-code = divproj.cli.main(["divergence", "--kind", "kl", "--p", sys.argv[1], "--q", sys.argv[2]])
+code = divproj.cli.main(sys.argv[1:])
 after_run = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 print(json.dumps([code, after_import, after_run]), file=sys.stderr)
 """
 
 
-def test_import_and_divergence_leave_scipy_unloaded(files):
-    # scipy is imported only by the linear family's LPs
+@pytest.mark.parametrize("command", [
+    "divergence --kind kl --p {p} --q {q}",
+    "project forward --alpha 2 --q {q3} --linear {lin}",
+    "project forward --alpha 2 --q {q3} --linear {face}",
+    "project reverse --family {nn} --sample {smp}",
+    "verify pythagoras --alpha 0.5 --q {q3} --linear {lin} --trials 5",
+    "oracle forward --kind dpd --alpha 2 --q {q3} --linear {lin} --resolution 20",
+])
+def test_import_and_commands_leave_scipy_unloaded(files, command):
+    # the linear family's LPs, the face LPs of a boundary family included,
+    # run on numpy alone, so no command loads scipy
+    face = os.path.join(files["tmp"], "face.json")
+    with open(face, "w", encoding="utf-8") as fh:
+        json.dump({"f": [[1.0, 0.0, 0.0]], "a": [0.0]}, fh)
+    files = dict(files, face=face)
     src = os.path.dirname(os.path.dirname(os.path.abspath(divproj.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, files["p"], files["q"]],
+        [sys.executable, "-c", SCIPY_PROBE, *command.format(**files).split()],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
