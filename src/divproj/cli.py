@@ -322,13 +322,14 @@ def _cmd_oracle_forward(args, cfg):
     q = load_distribution(args.q)
     lin = load_linear_family(args.linear, alphabet=q.alphabet) if args.linear else None
     grid = SimplexGrid(q.m, args.resolution)
-    p_best, value = grid_forward_min(_KIND_ALIASES[args.kind], args.alpha, q, lin, grid)
+    p_best, value, gap = grid_forward_min(_KIND_ALIASES[args.kind], args.alpha, q, lin, grid)
     return {
         "kind": args.kind,
         "alpha": args.alpha,
         "resolution": args.resolution,
         "p_best": p_best.probs,
         "value": value,
+        "constraint_gap": gap,
     }
 
 

@@ -32,7 +32,7 @@ from .families import (
     eval_members_batch,
     member_with_normalizer,
 )
-from .measures import SampleData, check_alpha, empirical_weights
+from .measures import SampleData, check_alpha, empirical_weights, reduce_rows
 from .solvers import (
     MAX_ITER,
     RESIDUAL_TOL,
@@ -102,13 +102,13 @@ def likelihood_rows(kind: EstimatorKind, probs: np.ndarray, ph: np.ndarray, alph
     for the empirical weights ``ph``; alpha = 1 gives the log-likelihood."""
     kind = EstimatorKind(kind)
     if kind is EstimatorKind.MLE or alpha == 1.0:
-        return np.sum(ph * np.log(probs), axis=-1)
+        return reduce_rows(np.add, ph * np.log(probs))
     if kind is EstimatorKind.HELLINGER:
         with np.errstate(divide="ignore"):
-            s = np.sum(np.where(ph > 0.0, ph**alpha * probs ** (1.0 - alpha), 0.0), axis=-1)
+            s = reduce_rows(np.add, np.where(ph > 0.0, ph**alpha * probs ** (1.0 - alpha), 0.0))
         return np.log(s) / (1.0 - alpha)
-    mean_pow = np.sum(ph * probs ** (alpha - 1.0), axis=-1)
-    s_pow = np.sum(probs**alpha, axis=-1)
+    mean_pow = reduce_rows(np.add, ph * probs ** (alpha - 1.0))
+    s_pow = reduce_rows(np.add, probs**alpha)
     if kind is EstimatorKind.BASU:
         return alpha / (alpha - 1.0) * mean_pow - 1.0 / (alpha - 1.0) - s_pow
     return alpha / (alpha - 1.0) * np.log(mean_pow) - np.log(s_pow)

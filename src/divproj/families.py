@@ -22,6 +22,13 @@ and raises the final power once, which keeps domain checks exact.
 Members are evaluated by one kernel over rows of parameters (the grid
 oracle's batches); ``member_with_normalizer`` and ``normalizer_root`` are its
 one-row cases, so scalar and batch calls agree on values and admissibility.
+A grid pays powers only on its rows that can be admissible: the power-law
+kinds decide admissibility first (the bracket's sign, and for the
+non-normalized kind whether a normalizer was found), raise the power on
+those rows alone and scatter them back among NaN rows.  Row sums run one
+column at a time (``measures.reduce_rows``), left to right like numpy's
+own, so no sum depends on the rows evaluated with it (the product theta.f
+is BLAS's, which can round a batch and a single row differently).
 Every member has full support: a member that underflows to an exact 0 on
 some symbol is inadmissible, like one whose bracket is non-positive or
 whose tilt theta.f overflows.
@@ -48,7 +55,7 @@ from .errors import (
     NoConvergence,
     NormalizerNotFound,
 )
-from .measures import Alphabet, Distribution, alpha_norm, check_alpha, escort
+from .measures import Alphabet, Distribution, alpha_norm, check_alpha, escort, reduce_rows
 
 RANK_RTOL = 1e-10  # linear-independence tolerance, relative to sigma_max
 
@@ -121,28 +128,6 @@ class FamilySpec:
         return self.q.alphabet
 
 
-ROW_LOOP_MIN = 128  # rows from which _by_row reduces one column at a time
-
-
-def _by_row(ufunc, x: np.ndarray) -> np.ndarray:
-    """``ufunc.reduce(x, axis=1)`` over the rows of a 2-D array.
-
-    Over many rows of a few symbols, numpy's reduction along the short
-    contiguous axis is several times slower than one ufunc call per column.
-    Below 8 columns numpy also accumulates left to right, so both ways agree
-    bit for bit.  Timed on (n, 3..5) arrays, the column loop costs 3-5 times
-    the single reduction at one row, breaks even at about 128 rows and
-    costs a sixth of it at 4096, hence ROW_LOOP_MIN.
-    """
-    n, m = x.shape
-    if n < ROW_LOOP_MIN or m >= 8:
-        return ufunc.reduce(x, axis=1)
-    out = x[:, 0].copy()
-    for j in range(1, m):
-        ufunc(out, x[:, j], out=out)
-    return out
-
-
 def _check_theta(spec: FamilySpec, theta) -> np.ndarray:
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.shape != (spec.theta_dim,):
@@ -212,40 +197,65 @@ def _members(spec: FamilySpec, thetas: np.ndarray, z=None):
     # the (n, m) work arrays are updated in place: oracle grids reach 1e5 rows
     if spec.kind is FamilyKind.EXPONENTIAL:
         w = np.log(spec.q.probs) + tilt
-        shift = _by_row(np.maximum, w)
+        shift = reduce_rows(np.maximum, w)
         # a spread beyond the float range gives -inf, so the member underflows;
         # Z = inf is right for a far theta
         with np.errstate(over="ignore"):
             w -= shift[:, None]
             np.exp(w, out=w)
-            total = _by_row(np.add, w)
+            total = reduce_rows(np.add, w)
             w /= total[:, None]
             z = total * np.exp(shift)
         ok = ~np.isnan(shift)
-    else:
-        found = True
-        if spec.kind is FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW and z is None:
-            z, found = _normalizer_rows(spec, tilt)[:2]
-        # a bracket, or its power, may overflow to inf: that member's mass
-        # is lost, as it is when the power underflows on every symbol
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = _bracket(spec, tilt, z[:, None] if z is not None else 0.0)
-            ok = _by_row(np.logical_and, w > 0.0) & found
-            w[~ok] = np.nan
-            w **= 1.0 / (1.0 - a) if spec.kind is FamilyKind.ALPHA_EXPONENTIAL else 1.0 / (a - 1.0)
-            total = _by_row(np.add, w)
-        lost = ok & ((total == np.inf) | (total == 0.0))
-        if lost.any():
-            ok &= ~lost
-            w[lost] = np.nan
-        w /= total[:, None]
-        if spec.kind is not FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW:
-            z = total
+        return w, z, _drop_underflow(w, ok)
+    # a grid's inadmissible rows pay for no power: the rows that can be
+    # admissible (found a normalizer, then a positive bracket) are gathered
+    # and scattered back into NaN rows; when every row can be, none moves
+    n, rows = len(tilt), None
+    if spec.kind is FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW and z is None:
+        z, found = _normalizer_rows(spec, tilt)[:2]
+        if not found.all():
+            rows = np.flatnonzero(found)
+    # a bracket, or its power, may overflow to inf: that member's mass
+    # is lost, as it is when the power underflows on every symbol
+    with np.errstate(over="ignore", invalid="ignore"):
+        zcol = 0.0 if z is None else z[:, None]
+        if rows is not None:
+            tilt, zcol = tilt[rows], zcol[rows]
+        w = _bracket(spec, tilt, zcol)
+        positive = reduce_rows(np.logical_and, w > 0.0)
+        if not positive.all():
+            rows = np.flatnonzero(positive) if rows is None else rows[positive]
+            w = w[positive]
+        w **= 1.0 / (1.0 - a) if spec.kind is FamilyKind.ALPHA_EXPONENTIAL else 1.0 / (a - 1.0)
+        total = reduce_rows(np.add, w)
+    lost = (total == np.inf) | (total == 0.0)
+    if lost.any():
+        w[lost] = np.nan
+    w /= total[:, None]
+    ok = _drop_underflow(w, ~lost)
+    if rows is not None:
+        w, total, ok = _scatter(n, rows, w, np.nan), _scatter(n, rows, total, np.nan), _scatter(n, rows, ok, False)
+    if spec.kind is not FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW:
+        z = total
+    return w, z, ok
+
+
+def _scatter(n: int, rows: np.ndarray, values: np.ndarray, fill) -> np.ndarray:
+    """An array of n rows holding ``values`` at ``rows`` and ``fill`` elsewhere."""
+    out = np.full((n, *values.shape[1:]), fill, dtype=values.dtype)
+    out[rows] = values
+    return out
+
+
+def _drop_underflow(w: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """NaN the entries of the member rows ``w`` that underflowed to an exact
+    0, in place; such a row is not ``ok``."""
     zero = w == 0.0
     if zero.any():
         w[zero] = np.nan
         ok = ok & ~zero.any(axis=1)
-    return w, z, ok
+    return ok
 
 
 def member_with_normalizer(spec: FamilySpec, theta) -> tuple[Distribution, float]:
@@ -326,18 +336,22 @@ def _normalizer_rows(spec: FamilySpec, tilt: np.ndarray):
     qa = spec.q.probs ** (a - 1.0)
     expo = 1.0 / (a - 1.0)
 
+    def total_mass(bracket):
+        np.maximum(bracket, 0.0, out=bracket)
+        return reduce_rows(np.add, bracket**expo)
+
     def evaluate(tilt, z):
         bracket = _bracket(spec, tilt, z[:, None])
-        admissible = _by_row(np.logical_and, bracket > 0.0)
-        np.maximum(bracket, 0.0, out=bracket)
-        return _by_row(np.add, bracket**expo), -_by_row(np.add, bracket ** (expo - 1.0)), admissible
+        admissible = reduce_rows(np.logical_and, bracket > 0.0)
+        return total_mass(bracket), -reduce_rows(np.add, bracket ** (expo - 1.0)), admissible
 
     n = len(tilt)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        z_edge = _by_row(np.minimum if a > 1.0 else np.maximum, qa / (a - 1.0) - tilt)
+        z_edge = reduce_rows(np.minimum if a > 1.0 else np.maximum, qa / (a - 1.0) - tilt)
         if a > 1.0:
             lo, hi = z_edge - 1.0 / (a - 1.0), z_edge
-            has_root = evaluate(tilt, hi)[0] < 1.0
+            # the mass at the edge alone decides whether a root exists
+            has_root = total_mass(_bracket(spec, tilt, hi[:, None])) < 1.0
         else:
             lo, hi = z_edge, z_edge + qa.size ** (1.0 - a) / (1.0 - a)
             has_root = np.ones(n, dtype=bool)

@@ -9,18 +9,19 @@ parallel evaluation would have to reduce in grid order to match.
 The oracles evaluate no formula of their own: grid rows go through the same
 row kernels as the scalar calls (``divergence_rows`` for the divergences,
 ``eval_members_batch`` for family members), so brute force and solvers
-cannot drift apart.
+cannot drift apart.  A reverse grid pays for powers only on its admissible
+rows (in a wide box most rows of a power-law family are not), and both
+kernels sum row-wise, one column at a time, bit for bit as numpy would.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import DivergenceKind, divergence_fixed_p, divergence_rows
+from .divergences import DivergenceKind, check_log_terms, divergence_fixed_p, divergence_rows
 from .errors import EmptyFeasibleGrid, InputError, NoAdmissibleTheta
 from .families import FamilySpec, LinearFamilySpec, eval_members_batch
 from .measures import Distribution, SampleData, check_alpha
@@ -49,17 +50,19 @@ class SimplexGrid:
 
     def counts(self) -> np.ndarray:
         """Every composition of ``resolution`` into m nonnegative parts, in
-        lexicographic order of the m-1 stars-and-bars cut positions."""
-        d, m = self.resolution, self.m
-        combos = itertools.combinations(range(d + m - 1), m - 1)
-        counts = np.empty((self.point_count(), m), dtype=np.int64)
-        for row, cuts in enumerate(combos):
-            prev = -1
-            for col, c in enumerate(cuts):
-                counts[row, col] = c - prev - 1
-                prev = c
-            counts[row, m - 1] = d + m - 2 - prev
-        return counts
+        lexicographic order of the m-1 stars-and-bars cut positions, which
+        is lexicographic order of the parts themselves.  Built one part at a
+        time: a row with r left to share spawns the rows of parts 0..r in
+        order, each carrying r minus its part to the next."""
+        rest = np.array([self.resolution], dtype=np.int64)
+        parts = []
+        for _ in range(self.m - 1):
+            spawn = rest + 1
+            parent = np.repeat(np.arange(rest.size), spawn)
+            part = np.arange(parent.size, dtype=np.int64) - (np.cumsum(spawn) - spawn)[parent]
+            parts = [p[parent] for p in parts] + [part]
+            rest = rest[parent] - part
+        return np.stack(parts + [rest], axis=1)
 
     def points(self) -> np.ndarray:
         counts = self.counts()
@@ -76,21 +79,30 @@ def grid_forward_min(
     constraint: LinearFamilySpec | None,
     grid: SimplexGrid,
 ):
-    """Exhaustive forward-projection argmin over a (filtered) simplex grid."""
+    """Exhaustive forward-projection argmin over a (filtered) simplex grid:
+    ``(p_best, value, constraint_gap)``.
+
+    A grid point is kept when it misses each constraint by at most half a
+    cell, 0.5/resolution, so the value can undercut the true constrained
+    minimum; ``constraint_gap`` is the argmin's own max |f p - a| (0 with
+    no constraint), the slack its value stands on."""
     alpha = check_alpha(alpha, allow_one=True)
     kind = DivergenceKind(kind)
     points = grid.points()
+    gap = np.zeros(len(points))
     if constraint is not None:
         tol = 0.5 / grid.resolution
         gap = np.max(np.abs(points @ constraint.f.T - constraint.a[None, :]), axis=1)
-        points = points[gap <= tol]
+        near = gap <= tol
+        points, gap = points[near], gap[near]
     if len(points) == 0:
         raise EmptyFeasibleGrid("no grid point satisfies the constraints")
+    check_log_terms(kind, alpha, q.probs, points)
     values = divergence_rows(kind, points, q.probs, alpha)
     values = np.where(np.isnan(values), np.inf, values)
     best = int(np.argmin(values))  # argmin returns the first minimum
     p_best = Distribution(q.alphabet, points[best], strict=False)
-    return p_best, float(values[best])
+    return p_best, float(values[best]), float(gap[best])
 
 
 @dataclass(frozen=True)
@@ -152,6 +164,7 @@ def grid_reverse_min(
     if not ok.all():
         thetas, probs = thetas[ok], probs[ok]
     ph = sample.empirical.probs
+    check_log_terms(kind, alpha, ph, probs)
     values = divergence_fixed_p(kind, ph, probs, alpha)
     best = int(np.argmin(values))
     return thetas[best], float(values[best])

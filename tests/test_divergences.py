@@ -14,7 +14,7 @@ from divproj.divergences import (
     renyi_d,
 )
 from divproj.errors import DomainError
-from divproj.measures import Alphabet, Distribution, normalize
+from divproj.measures import ROW_LOOP_MIN, Alphabet, Distribution, normalize
 
 from conftest import random_distribution, rng_of
 
@@ -200,6 +200,22 @@ class TestRowForms:
         for m in (2, 3, 5):
             fixed = random_distribution(rng, m)
             self.check(kind, fixed, [random_distribution(rng, m) for _ in range(6)], alpha)
+
+    @pytest.mark.parametrize("m", range(2, 10))
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_many_rows_are_the_one_row_kernel_bit_for_bit(self, kind, m):
+        # enough rows that the kernels reduce one column at a time
+        rng = rng_of(m + 10 * len(kind.value))
+        rows = rng.dirichlet(np.ones(m), size=ROW_LOOP_MIN + 37)
+        fixed = rng.dirichlet(np.ones(m))
+        for alpha in (0.5, 1.0, 2.5):
+            forward = divergence_rows(kind, rows, fixed, alpha)
+            reverse = divergence_fixed_p(kind, fixed, rows, alpha)
+            for i, row in enumerate(rows):
+                assert np.array_equal(forward[i], divergence_rows(kind, row, fixed, alpha))
+                assert np.array_equal(reverse[i], divergence_fixed_p(kind, fixed, row, alpha))
+            p, q = Distribution(Alphabet.of_size(m), rows[0]), Distribution(Alphabet.of_size(m), fixed)
+            assert forward[0] == divergence(kind, p, q, alpha)
 
     def test_skewed_renyi_pair_does_not_overflow(self):
         # without a max-shift the power sum overflows to inf at alpha = 3

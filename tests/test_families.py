@@ -326,14 +326,6 @@ class TestNormalizerRows:
                 assert not found[i]
                 assert np.array_equal(err.interval, (lo[i], hi[i]), equal_nan=True)
 
-    @pytest.mark.parametrize("m", [2, 3, 4, 5, 7, 8, 9])
-    def test_column_reductions_match_numpy_bit_for_bit(self, m):
-        x = rng_of(m).normal(size=(families.ROW_LOOP_MIN + 37, m))
-        x[3, 1] = np.nan
-        for ufunc in (np.add, np.minimum, np.maximum):
-            assert np.array_equal(families._by_row(ufunc, x), ufunc.reduce(x, axis=1), equal_nan=True)
-        assert np.array_equal(families._by_row(np.logical_and, x > 0.0), (x > 0.0).all(axis=1))
-
     def test_converged_rows_leave_the_iteration(self, monkeypatch):
         # the family of op 58 of the estimate benchmark (seed 1): Basu at
         # alpha = 3, k = 2, on its 301 x 301 oracle grid.  Iterating every
@@ -356,6 +348,52 @@ class TestNormalizerRows:
         monkeypatch.setattr(families, "_bracket", counting)
         _normalizer_rows(spec, thetas @ spec.f)
         assert sum(rows) <= 3 * len(thetas)
+        # the members pass forms brackets on the rows with a normalizer only,
+        # and the edge test reads the mass alone: 252083 rows when every row
+        # paid for its bracket and power
+        rows.clear()
+        probs, ok = eval_members_batch(spec, thetas)
+        assert 0 < ok.sum() < len(thetas) // 10
+        assert sum(rows) <= 170160
+
+
+class TestAdmissibleRowsOnly:
+    """A grid pays powers only on the rows that can be admissible; each row
+    is still its one-row call, bit for bit, NaN placement included.  The
+    statistics and the grid are dyadic, so theta.f is exact: a BLAS product
+    over many rows may round differently from the product of one."""
+
+    Q = Distribution(Alphabet.of_size(4), [0.15, 0.25, 0.35, 0.25])
+    F = np.array([[0.625, -0.875, 0.375, -0.125], [-0.5, 0.25, 0.75, -0.5]])
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5, 3.0])
+    @pytest.mark.parametrize(
+        "kind",
+        [FamilyKind.ALPHA_POWER_LAW, FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW, FamilyKind.ALPHA_EXPONENTIAL],
+    )
+    def test_batch_rows_are_one_row_calls(self, kind, alpha):
+        spec = FamilySpec(kind, self.Q, self.F, alpha=alpha)
+        # coarse far out, fine near 0, where alpha = 3 brackets stay positive
+        axis = np.unique(np.concatenate([np.arange(-24.0, 25.0, 2.0), np.arange(-2.0, 2.25, 0.25),
+                                         np.arange(-0.125, 0.13, 1.0 / 64.0)]))
+        thetas = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        # and a row whose tilt overflows
+        thetas = np.vstack([thetas, [[1e308, -1e308]]])
+        probs, ok = eval_members_batch(spec, thetas)
+        assert ok.any() and not ok.all()
+        if kind is not FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW or alpha > 1.0:
+            # below alpha = 1 every finite tilt of that kind has a normalizer
+            assert ok.mean() < 0.6
+        for i, theta in enumerate(thetas):
+            one, one_ok = eval_members_batch(spec, theta[None, :])
+            assert one_ok[0] == ok[i]
+            assert np.array_equal(probs[i], one[0], equal_nan=True)
+            try:
+                p = member_with_normalizer(spec, theta)[0].probs
+            except (DomainViolation, NormalizerNotFound):
+                assert not ok[i]
+            else:
+                assert ok[i] and np.array_equal(probs[i], p)
 
 
 class TestUnderflow:

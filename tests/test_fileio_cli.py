@@ -206,14 +206,43 @@ class TestCLI:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("kind", ["rae", "renyi"])
     def test_log_powers_that_overflow_warn_nothing(self, capsys, tmp_path, kind):
-        # at alpha = 1e308, alpha * log Q(a) = -3e308 overflows: the power Q(a)^alpha it
-        # stands for underflows, and the log-sum terms saturate to -inf without a warning
+        # at alpha = 1e308, alpha * log Q(a) = -3e308 overflows; the log-sum terms
+        # would saturate to -inf and answer garbage (Renyi gave +inf for the true
+        # log 4), so such an alpha is an input error, refused without a warning
         p, q = tmp_path / "p.json", tmp_path / "q.json"
         p.write_text(json.dumps({"alphabet": ["a", "b", "c"], "probs": [0.2, 0.3, 0.5]}))
         q.write_text(json.dumps({"alphabet": ["a", "b", "c"], "probs": [0.05, 0.325, 0.625]}))
         code, out, err = self.run(capsys, "divergence", "--kind", kind, "--alpha=1e308", "--p", str(p), "--q", str(q))
-        assert code == 0 and err == ""
-        assert json.loads(out, parse_constant=_refuse_constant)["command"] == "divergence"
+        report = json.loads(out, parse_constant=_refuse_constant)
+        assert code == 2 and report["error"] == "DomainError"
+        assert "overflows at alpha" in report["message"] and "Warning" not in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    def test_oracles_refuse_log_terms_that_overflow(self, capsys, files, direction):
+        where = {
+            "forward": ["--q", files["q3"], "--resolution", "20"],
+            "reverse": ["--family", files["pow"], "--sample", files["smp"], "--box=-1:1:21"],
+        }[direction]
+        code, out, err = self.run(capsys, "oracle", direction, "--kind", "rae", "--alpha=1e308", *where)
+        report = json.loads(out, parse_constant=_refuse_constant)
+        assert code == 2 and report["error"] == "DomainError"
+        assert "Warning" not in err
+        # the same kernels answer at an alpha whose log terms stay finite
+        code, out, _ = self.run(capsys, "oracle", direction, "--kind", "rae", "--alpha=1e300", *where)
+        assert code == 0 and json.loads(out, parse_constant=_refuse_constant)["value"] >= 0.0
+
+    def test_oracle_forward_reports_its_constraint_gap(self, capsys, files):
+        code, out, _ = self.run(
+            capsys, "oracle", "forward", "--kind", "dpd", "--alpha", "2", "--q", files["q3"],
+            "--linear", files["lin"], "--resolution", "7",
+        )
+        assert code == 0
+        report = json.loads(out, parse_constant=_refuse_constant)
+        lin = json.loads(open(files["lin"], encoding="utf-8").read())
+        gap = np.max(np.abs(np.array(lin["f"]) @ np.array(report["p_best"]) - np.array(lin["a"])))
+        assert report["constraint_gap"] == pytest.approx(gap, abs=1e-11)
+        assert 0.0 < report["constraint_gap"] <= 0.5 / 7
 
     def test_nan_in_a_report_is_a_numeric_failure(self, capsys, files, monkeypatch):
         monkeypatch.setattr(divproj.cli, "divergence", lambda *args, **kwargs: float("nan"))

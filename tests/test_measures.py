@@ -12,6 +12,7 @@ from divproj.errors import (
     UnknownLabelError,
 )
 from divproj.measures import (
+    ROW_LOOP_MIN,
     Alphabet,
     Distribution,
     SampleData,
@@ -19,6 +20,7 @@ from divproj.measures import (
     empirical,
     escort,
     normalize,
+    reduce_rows,
 )
 
 AB = Alphabet(("a", "b"))
@@ -162,3 +164,19 @@ class TestAlphabet:
     def test_order_is_index(self):
         ab = Alphabet(("z", "y", "x"))
         assert ab.index("y") == 1
+
+
+class TestReduceRows:
+    """The column loop the row kernels reduce with is numpy's own reduction,
+    bit for bit, on rows of any count and on a single 1-D row."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 7, 8, 9])
+    def test_column_reductions_match_numpy_bit_for_bit(self, m):
+        x = np.random.default_rng(m).normal(size=(ROW_LOOP_MIN + 37, m))
+        x[3, 1] = np.nan
+        for ufunc in (np.add, np.minimum, np.maximum):
+            rows = reduce_rows(ufunc, x)
+            assert np.array_equal(rows, ufunc.reduce(x, axis=1), equal_nan=True)
+            for i in (0, 3, len(x) - 1):
+                assert np.array_equal(rows[i], reduce_rows(ufunc, x[i]), equal_nan=True)
+        assert np.array_equal(reduce_rows(np.logical_and, x > 0.0), (x > 0.0).all(axis=1))

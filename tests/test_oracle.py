@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,17 @@ class TestSimplexGrid:
         # first point in combination order is the full mass on the last slot
         assert np.array_equal(a[0], [0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_counts_are_the_stars_and_bars_compositions_in_order(self, m):
+        for d in (1, 2, 5, 9):
+            expected = []
+            for cuts in itertools.combinations(range(d + m - 1), m - 1):
+                bounds = (-1, *cuts, d + m - 1)
+                expected.append([hi - lo - 1 for lo, hi in zip(bounds, bounds[1:])])
+            counts = SimplexGrid(m, d).counts()
+            assert counts.dtype == np.int64
+            assert np.array_equal(counts, expected)
+
     def test_interior_only_drops_boundary(self):
         pts = SimplexGrid(3, 4, interior_only=True).points()
         assert np.all(pts > 0.0)
@@ -84,14 +97,16 @@ class TestForwardOracle:
         f = np.array([[0.0, 1.0, 2.0]])
         lin = LinearFamilySpec(f, f @ q.probs, alphabet=q.alphabet)
         d = 60
-        p_best, value = grid_forward_min(DivergenceKind.KL, 1.0, q, lin, SimplexGrid(3, d))
+        p_best, value, gap = grid_forward_min(DivergenceKind.KL, 1.0, q, lin, SimplexGrid(3, d))
         assert np.max(np.abs(p_best.probs - q.probs)) <= 1.0 / d
         assert value <= 25.0 / d**2
+        assert gap == pytest.approx(np.max(np.abs(lin.f @ p_best.probs - lin.a)), abs=1e-15)
+        assert gap <= 0.5 / d
 
     def test_matches_hand_computed_projection(self):
         q = Distribution(A3, np.full(3, 1 / 3))
         lin = LinearFamilySpec(np.array([[0.0, 1.0, 2.0]]), np.array([1.2]), alphabet=A3)
-        p_best, _ = grid_forward_min(DivergenceKind.DENSITY_POWER, 2.0, q, lin, SimplexGrid(3, 60))
+        p_best, _, _ = grid_forward_min(DivergenceKind.DENSITY_POWER, 2.0, q, lin, SimplexGrid(3, 60))
         assert np.max(np.abs(p_best.probs - np.array([7, 10, 13]) / 30.0)) <= 1.0 / 60.0
 
     def test_runtime_is_interactive(self):

@@ -142,7 +142,7 @@ class TestForwardProjection:
         q = random_distribution(rng, 3)
         res = forward_dpd_projection(q, lin, alpha)
         grid = SimplexGrid(3, 60)
-        p_best, value = grid_forward_min(DivergenceKind.DENSITY_POWER, alpha, q, lin, grid)
+        p_best, value, _ = grid_forward_min(DivergenceKind.DENSITY_POWER, alpha, q, lin, grid)
         # the grid filters to a band of width 0.5/d around the constraint
         # slice; project that offset out before comparing locations, and
         # allow the band to undercut the constrained minimum by O(1/d)
