@@ -3,8 +3,12 @@
 Simplex grids are generated as integer compositions of a resolution d
 (exact rational membership, reproducible lexicographic order) and converted
 to floats once.  Reverse grids sweep a box of parameters.  Both oracles are
-exhaustive argmins with a deterministic first-lowest tie-break, so a
-parallel evaluation would have to reduce in grid order to match.
+exhaustive argmins with a deterministic first-lowest tie-break.  Both walk
+their grid in near-equal blocks of at most ``BLOCK_ROWS`` rows, so an
+oracle's memory is set by a block, not by the grid: each block is scored
+whole, and the block minima are reduced in grid order by ``np.argmin``'s own
+rule (first lowest, first NaN), which is the argmin of the whole grid.  A
+grid of at most ``BLOCK_ROWS`` points is one block.
 
 The oracles evaluate no formula of their own: grid rows go through the same
 row kernels as the scalar calls (``divergence_rows`` for the divergences,
@@ -17,7 +21,9 @@ kernels sum row-wise, one column at a time, bit for bit as numpy would.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,9 +32,65 @@ from .errors import EmptyFeasibleGrid, InputError, NoAdmissibleTheta
 from .families import FamilySpec, LinearFamilySpec, eval_members_batch
 from .measures import Distribution, SampleData, check_alpha
 
-# A grid holds one row of m (or k) numbers per point, and its oracle several
-# such arrays; a grid of more points is refused before anything is allocated.
+# The cap bounds an oracle's time (and a simplex grid's integer compositions,
+# which stay whole); a grid of more points is refused before anything is
+# allocated.
 MAX_GRID_POINTS = 10**6
+
+# Rows scored at once.  Blocks are split as np.array_split splits, so a grid
+# past one block never leaves a one-row block: numpy's one-row product takes
+# another path than a many-row one and rounds theta.f differently.  Each
+# block of a Basu alpha = 3 grid pays its edge rows' 34-43 normalizer passes
+# anew, so smaller blocks cost time there: re-measure before going below
+# 2**14.
+BLOCK_ROWS = 2**14
+
+
+def _blocks(n: int):
+    """``(start, stop)`` of the near-equal blocks of at most BLOCK_ROWS rows
+    that cover n rows in order, sized as ``np.array_split`` sizes them."""
+    count = -(-n // BLOCK_ROWS)
+    size, extra = divmod(n, max(count, 1))
+    start = 0
+    for i in range(count):
+        stop = start + size + (i < extra)
+        yield start, stop
+        start = stop
+
+
+class _FirstLowest:
+    """np.argmin over a grid scored block by block, in grid order.
+
+    Each block offers its own argmin; the pick among the offers by np.argmin
+    is the first lowest (or first NaN) of the whole grid, since an earlier
+    block's rows precede a later one's."""
+
+    def __init__(self):
+        self.values, self.picks = [], []
+
+    def offer(self, values: np.ndarray, *rows: np.ndarray) -> None:
+        best = int(np.argmin(values))
+        self.values.append(values[best])
+        # copies, so no block outlives its turn
+        self.picks.append(tuple(r[best].copy() for r in rows))
+
+    def __bool__(self) -> bool:
+        return bool(self.values)
+
+    def best(self):
+        """``(value, *rows)`` at the grid's argmin."""
+        i = int(np.argmin(self.values))
+        return (float(self.values[i]), *self.picks[i])
+
+
+def _whole(value, what: str) -> int:
+    """A grid size as an int: any integer, numpy's included, or an integral
+    float; ``InputError`` for anything else (NaN, inf, 2.7, text)."""
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, numbers.Real) and math.isfinite(value) and value == math.floor(value):
+        return int(value)
+    raise InputError(f"{what} must be a whole number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -40,6 +102,8 @@ class SimplexGrid:
     interior_only: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "m", _whole(self.m, "simplex size m"))
+        object.__setattr__(self, "resolution", _whole(self.resolution, "simplex grid resolution"))
         if self.m < 2 or self.resolution < 1:
             raise EmptyFeasibleGrid("grid needs m >= 2 and resolution >= 1")
         if self.point_count() > MAX_GRID_POINTS:
@@ -64,12 +128,15 @@ class SimplexGrid:
             rest = rest[parent] - part
         return np.stack(parts + [rest], axis=1)
 
-    def points(self) -> np.ndarray:
+    def kept_counts(self) -> np.ndarray:
+        """``counts()``, without the boundary rows when ``interior_only``."""
         counts = self.counts()
-        points = counts / float(self.resolution)
         if self.interior_only:
-            points = points[np.all(counts > 0, axis=1)]
-        return points
+            counts = counts[np.all(counts > 0, axis=1)]
+        return counts
+
+    def points(self) -> np.ndarray:
+        return self.kept_counts() / float(self.resolution)
 
 
 def grid_forward_min(
@@ -88,21 +155,25 @@ def grid_forward_min(
     no constraint), the slack its value stands on."""
     alpha = check_alpha(alpha, allow_one=True)
     kind = DivergenceKind(kind)
-    points = grid.points()
-    gap = np.zeros(len(points))
-    if constraint is not None:
-        tol = 0.5 / grid.resolution
-        gap = np.max(np.abs(points @ constraint.f.T - constraint.a[None, :]), axis=1)
-        near = gap <= tol
-        points, gap = points[near], gap[near]
-    if len(points) == 0:
+    counts = grid.kept_counts()
+    tol = 0.5 / grid.resolution
+    lowest = _FirstLowest()
+    for start, stop in _blocks(len(counts)):
+        points = counts[start:stop] / float(grid.resolution)
+        gap = np.zeros(len(points))
+        if constraint is not None:
+            gap = np.max(np.abs(points @ constraint.f.T - constraint.a[None, :]), axis=1)
+            near = gap <= tol
+            points, gap = points[near], gap[near]
+            if len(points) == 0:
+                continue
+        check_log_terms(kind, alpha, q.probs, points)
+        values = divergence_rows(kind, points, q.probs, alpha)
+        lowest.offer(np.where(np.isnan(values), np.inf, values), points, gap)
+    if not lowest:
         raise EmptyFeasibleGrid("no grid point satisfies the constraints")
-    check_log_terms(kind, alpha, q.probs, points)
-    values = divergence_rows(kind, points, q.probs, alpha)
-    values = np.where(np.isnan(values), np.inf, values)
-    best = int(np.argmin(values))  # argmin returns the first minimum
-    p_best = Distribution(q.alphabet, points[best], strict=False)
-    return p_best, float(values[best]), float(gap[best])
+    value, p_best, gap = lowest.best()
+    return Distribution(q.alphabet, p_best, strict=False), value, float(gap)
 
 
 @dataclass(frozen=True)
@@ -117,8 +188,9 @@ class ThetaGrid:
     def of(cls, lo, hi, steps, k: int = 1) -> "ThetaGrid":
         lo = np.broadcast_to(np.asarray(lo, dtype=float), (k,)).copy()
         hi = np.broadcast_to(np.asarray(hi, dtype=float), (k,)).copy()
+        steps = [_whole(s, "parameter grid steps") for s in np.broadcast_to(np.asarray(steps), (k,))]
         try:
-            steps = np.broadcast_to(np.asarray(steps, dtype=int), (k,)).copy()
+            steps = np.array(steps, dtype=np.int64)
         except OverflowError:
             raise InputError(f"parameter grid steps {steps!r} are too large") from None
         return cls(lo, hi, steps)
@@ -130,17 +202,25 @@ class ThetaGrid:
             raise InputError("parameter grid bounds and their widths must be finite")
         if np.any(self.steps < 1):
             raise InputError("parameter grid needs at least one step per dimension")
-        count = math.prod(int(s) for s in self.steps)
-        if count > MAX_GRID_POINTS:
-            raise InputError(f"parameter grid of {count} points exceeds {MAX_GRID_POINTS}")
+        if self.point_count() > MAX_GRID_POINTS:
+            raise InputError(f"parameter grid of {self.point_count()} points exceeds {MAX_GRID_POINTS}")
+
+    def point_count(self) -> int:
+        return math.prod(int(s) for s in self.steps)
+
+    @cached_property
+    def _axes(self) -> list[np.ndarray]:
+        return [np.linspace(lo, hi, int(s)) for lo, hi, s in zip(self.lo, self.hi, self.steps)]
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Points ``start..stop`` of the grid in mesh order (the first
+        parameter varies slowest), each entry read off its linspace axis,
+        so blocks of rows concatenate to ``points()`` bit for bit."""
+        index = np.unravel_index(np.arange(start, stop), tuple(len(a) for a in self._axes))
+        return np.stack([axis[i] for axis, i in zip(self._axes, index)], axis=1)
 
     def points(self) -> np.ndarray:
-        axes = [
-            np.linspace(self.lo[i], self.hi[i], int(self.steps[i]))
-            for i in range(len(self.lo))
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        return self.rows(0, self.point_count())
 
     def cell_width(self) -> np.ndarray:
         return (self.hi - self.lo) / np.maximum(1, self.steps - 1)
@@ -157,14 +237,18 @@ def grid_reverse_min(
     grid: ``(theta_best, value)`` at the first lowest D(P_hat, P_theta)."""
     alpha = check_alpha(alpha, allow_one=True)
     kind = DivergenceKind(kind)
-    thetas = theta_grid.points()
-    probs, ok = eval_members_batch(spec, thetas)
-    if not np.any(ok):
-        raise NoAdmissibleTheta("no admissible parameter in the grid box")
-    if not ok.all():
-        thetas, probs = thetas[ok], probs[ok]
     ph = sample.empirical.probs
-    check_log_terms(kind, alpha, ph, probs)
-    values = divergence_fixed_p(kind, ph, probs, alpha)
-    best = int(np.argmin(values))
-    return thetas[best], float(values[best])
+    lowest = _FirstLowest()
+    for start, stop in _blocks(theta_grid.point_count()):
+        thetas = theta_grid.rows(start, stop)
+        probs, ok = eval_members_batch(spec, thetas)
+        if not ok.any():
+            continue
+        if not ok.all():
+            thetas, probs = thetas[ok], probs[ok]
+        check_log_terms(kind, alpha, ph, probs)
+        lowest.offer(divergence_fixed_p(kind, ph, probs, alpha), thetas)
+    if not lowest:
+        raise NoAdmissibleTheta("no admissible parameter in the grid box")
+    value, theta_best = lowest.best()
+    return theta_best, value

@@ -1,14 +1,17 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from divproj.divergences import DivergenceKind, divergence_fixed_p
-from divproj.errors import EmptyFeasibleGrid, InputError, NoAdmissibleTheta
+from divproj.divergences import DivergenceKind, divergence_fixed_p, divergence_rows
+from divproj.errors import DomainError, EmptyFeasibleGrid, InputError, NoAdmissibleTheta
 from divproj.estimators import MATCHED_FAMILY, EstimatorKind, likelihood_rows
 from divproj.families import FamilyKind, FamilySpec, LinearFamilySpec, eval_members_batch
 from divproj.measures import Alphabet, Distribution, SampleData
 from divproj.oracle import (
+    BLOCK_ROWS,
+    MAX_GRID_POINTS,
     SimplexGrid,
     ThetaGrid,
     grid_forward_min,
@@ -88,6 +91,214 @@ class TestGridCaps:
         # -1e308..1e308 has finite bounds but a width that overflows
         with pytest.raises(InputError, match="finite"):
             ThetaGrid.of(lo, hi, 5, k=np.size(lo))
+
+
+class TestGridSizes:
+    """Grid sizes are whole numbers: numpy integers and integral floats pass,
+    anything else is an input error, not a bare ValueError or TypeError and
+    not a silently truncated grid."""
+
+    @pytest.mark.parametrize("steps", [float("nan"), float("inf"), 2.7, "5", [3, 2.5]])
+    def test_parameter_grid_refuses_a_step_count_that_is_not_whole(self, steps):
+        with pytest.raises(InputError, match="whole"):
+            ThetaGrid.of(np.zeros(np.size(steps)), np.ones(np.size(steps)), steps, k=np.size(steps))
+
+    @pytest.mark.parametrize("m, resolution", [(3, 2.5), (2.5, 3), (3, float("nan")), (float("inf"), 3), ("3", 4)])
+    def test_simplex_grid_refuses_a_size_that_is_not_whole(self, m, resolution):
+        with pytest.raises(InputError, match="whole"):
+            SimplexGrid(m, resolution)
+
+    def test_numpy_integers_and_integral_floats_are_sizes(self):
+        assert np.array_equal(ThetaGrid.of(0.0, 1.0, np.int32(5)).points(), ThetaGrid.of(0.0, 1.0, 5).points())
+        assert np.array_equal(ThetaGrid.of(0.0, 1.0, 5.0).points(), ThetaGrid.of(0.0, 1.0, 5).points())
+        steps = np.array([3, 4], dtype=np.uint16)
+        assert ThetaGrid.of([0.0, 0.0], [1.0, 1.0], steps, k=2).point_count() == 12
+        assert SimplexGrid(np.int64(3), np.uint8(4)) == SimplexGrid(3, 4)
+        assert SimplexGrid(2.0, 3) == SimplexGrid(2, 3)
+        assert np.array_equal(SimplexGrid(2.0, 3).points(), SimplexGrid(2, 3).points())
+
+
+def whole_grid_reverse_min(kind, alpha, sample, spec, grid):
+    """The unblocked oracle: one members call over the whole meshgrid, then
+    the divergences and np.argmin."""
+    axes = [np.linspace(lo, hi, s) for lo, hi, s in zip(grid.lo, grid.hi, grid.steps)]
+    thetas = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    probs, ok = eval_members_batch(spec, thetas)
+    if not ok.any():
+        raise NoAdmissibleTheta("no admissible parameter")
+    thetas, probs = thetas[ok], probs[ok]
+    values = divergence_fixed_p(kind, sample.empirical.probs, probs, alpha)
+    best = int(np.argmin(values))
+    return thetas[best], float(values[best])
+
+
+def whole_grid_forward_min(kind, alpha, q, constraint, grid):
+    """The unblocked forward oracle, scored over every point at once."""
+    points = grid.points()
+    gap = np.zeros(len(points))
+    if constraint is not None:
+        gap = np.max(np.abs(points @ constraint.f.T - constraint.a[None, :]), axis=1)
+        near = gap <= 0.5 / grid.resolution
+        points, gap = points[near], gap[near]
+    values = divergence_rows(kind, points, q.probs, alpha)
+    values = np.where(np.isnan(values), np.inf, values)
+    best = int(np.argmin(values))
+    return points[best], float(values[best]), float(gap[best])
+
+
+def assert_same_bits(a, b):
+    assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestBlocks:
+    """Grids are scored in blocks of at most BLOCK_ROWS rows; the answer is
+    the whole grid's, bit for bit."""
+
+    SIZES = [1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5]
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    def test_blocked_reverse_oracle_is_the_whole_grid_bit_for_bit(self, kind, n):
+        rng = rng_of(71 + ord(kind.value[0]))
+        alpha = {"mle": 1.0, "hellinger": 0.5, "basu": 2.0, "jones": 3.0}[kind.value]
+        k = 2 if n == BLOCK_ROWS else 1
+        spec = random_family(rng, MATCHED_FAMILY[kind], m=4, k=k, alpha=alpha, f_scale=0.8)
+        theta0 = random_admissible_theta(rng, spec, scale=0.2)
+        sample = sample_from(spec, theta0, 200, rng)
+        if n == 1:
+            grid = ThetaGrid.of(theta0, theta0, 1)
+        elif k == 2:
+            grid = ThetaGrid.of([-2.5, -1.5], [1.5, 2.5], [128, 128], k=2)
+        else:
+            grid = ThetaGrid.of(-2.5, 2.5, n)
+        assert grid.point_count() == n
+        probs, ok = eval_members_batch(spec, grid.points())
+        if kind is not EstimatorKind.MLE and n > 1:
+            assert 0 < ok.sum() < n  # the box reaches past the admissible region
+        div = MATCHED_DIVERGENCE[kind]
+        theta, value = grid_reverse_min(div, alpha, sample, spec, grid)
+        ref_theta, ref_value = whole_grid_reverse_min(div, alpha, sample, spec, grid)
+        assert_same_bits(theta, ref_theta)
+        assert_same_bits(value, ref_value)
+
+    def test_a_grid_one_past_a_block_leaves_no_one_row_block(self):
+        # the argmin is the grid's last row, and numpy's one-row product
+        # scores that row differently from a many-row one: a block split
+        # that left it alone would move the value
+        a4 = Alphabet.of_size(4)
+        f = np.array([[0.274, -0.46, -0.918, -0.967], [0.627, 0.826, 0.213, 0.459]])
+        spec = FamilySpec(FamilyKind.EXPONENTIAL, Distribution(a4, [0.1, 0.2, 0.3, 0.4]), f)
+        sample = SampleData.from_counts([674, 271, 16, 39], a4)
+        grid = ThetaGrid.of([-1.0, -1.0], [0.7, 1.3], [145, 113], k=2)
+        assert grid.point_count() == BLOCK_ROWS + 1
+        last = grid.rows(grid.point_count() - 2, grid.point_count())
+        alone = divergence_fixed_p(DivergenceKind.KL, sample.empirical.probs, eval_members_batch(spec, last[1:])[0], 1.0)
+        theta, value = grid_reverse_min(DivergenceKind.KL, 1.0, sample, spec, grid)
+        assert_same_bits(theta, last[1])
+        assert value != alone[0]
+        assert_same_bits(value, whole_grid_reverse_min(DivergenceKind.KL, 1.0, sample, spec, grid)[1])
+
+    def jones_half_line(self):
+        # admissible iff theta > -0.5: the bracket at 'b' is 0.5 + theta
+        return FamilySpec(
+            FamilyKind.ALPHA_POWER_LAW, Distribution(AB, [0.5, 0.5]), np.array([[0.0, -1.0]]), alpha=2.0
+        )
+
+    def test_a_first_block_without_admissible_rows(self):
+        spec = self.jones_half_line()
+        sample = SampleData.from_counts([3, 7], AB)
+        grid = ThetaGrid.of(-3.0, 1.0, 3 * BLOCK_ROWS + 5)
+        first = -(-grid.point_count() // 4)  # the first block of four
+        assert not eval_members_batch(spec, grid.rows(0, first))[1].any()
+        got = grid_reverse_min(DivergenceKind.REL_ALPHA_ENTROPY, 2.0, sample, spec, grid)
+        ref = whole_grid_reverse_min(DivergenceKind.REL_ALPHA_ENTROPY, 2.0, sample, spec, grid)
+        assert_same_bits(got[0], ref[0])
+        assert_same_bits(got[1], ref[1])
+
+    def test_an_exact_tie_across_blocks_goes_to_the_first(self):
+        # the symmetric instance of TestReverseOracle.test_exact_tie; its two
+        # best rows, -c and c, end the first block and start the second
+        spec = FamilySpec(
+            FamilyKind.ALPHA_POWER_LAW, Distribution(AB, [0.5, 0.5]), np.array([[-0.5, 0.5]]), alpha=2.0
+        )
+        sample = SampleData.from_counts([5, 5], AB)
+        grid = ThetaGrid.of(-0.4, 0.4, 2 * BLOCK_ROWS)
+        pair = eval_members_batch(spec, grid.rows(BLOCK_ROWS - 1, BLOCK_ROWS + 1))[0]
+        tied = divergence_fixed_p(DivergenceKind.DENSITY_POWER, sample.empirical.probs, pair, 2.0)
+        assert tied[0] == tied[1]
+        theta, value = grid_reverse_min(DivergenceKind.DENSITY_POWER, 2.0, sample, spec, grid)
+        assert theta[0] < 0.0 and value == tied[0]
+        assert_same_bits(theta, whole_grid_reverse_min(DivergenceKind.DENSITY_POWER, 2.0, sample, spec, grid)[0])
+
+    def test_a_grid_without_admissible_rows_in_any_block(self):
+        spec = self.jones_half_line()
+        sample = SampleData.from_counts([3, 7], AB)
+        with pytest.raises(NoAdmissibleTheta):
+            grid_reverse_min(DivergenceKind.REL_ALPHA_ENTROPY, 2.0, sample, spec, ThetaGrid.of(-4.0, -1.0, 3 * BLOCK_ROWS + 5))
+
+    def test_a_log_term_that_overflows_in_a_later_block(self):
+        # at alpha = 1e308 a log term overflows once P_theta's smaller entry
+        # falls below exp(-1.797) = 0.166, that is for |theta| > 1.62
+        spec = FamilySpec(FamilyKind.EXPONENTIAL, Distribution(AB, [0.5, 0.5]), np.array([[0.0, 1.0]]))
+        sample = SampleData.from_counts([5, 5], AB)
+        steps = 3 * BLOCK_ROWS + 5
+        first = -(-steps // 4)
+        grid = ThetaGrid.of(0.0, 3.0, steps)
+        head = ThetaGrid.of(0.0, grid.rows(first - 1, first)[0, 0], first)
+        grid_reverse_min(DivergenceKind.RENYI, 1e308, sample, spec, head)  # the first block is fine
+        with pytest.raises(DomainError, match="overflows"):
+            grid_reverse_min(DivergenceKind.RENYI, 1e308, sample, spec, grid)
+
+    @pytest.mark.parametrize(
+        "lo, hi, steps",
+        [(-1.3, 2.9, [BLOCK_ROWS + 7]), ([-1.0, 0.1], [0.7, 3.3], [301, 301]), ([-2.0, -1.0, 0.0], [1.0, 0.3, 1e-3], [17, 101, 23])],
+    )
+    def test_block_rows_are_the_mesh_bit_for_bit(self, lo, hi, steps):
+        grid = ThetaGrid.of(lo, hi, steps, k=len(steps))
+        axes = [np.linspace(a, b, s) for a, b, s in zip(grid.lo, grid.hi, grid.steps)]
+        mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+        cuts = [0, 1, 2, 999, BLOCK_ROWS, grid.point_count()]
+        blocks = np.concatenate([grid.rows(a, b) for a, b in zip(cuts, cuts[1:])])
+        assert_same_bits(blocks, mesh)
+        assert_same_bits(grid.points(), mesh)
+
+    @pytest.mark.parametrize("interior_only", [False, True])
+    @pytest.mark.parametrize("kind, alpha", [("kl", 1.0), ("renyi", 0.5), ("dpd", 2.0), ("rae", 3.0)])
+    def test_blocked_forward_oracle_is_the_whole_grid_bit_for_bit(self, kind, alpha, interior_only):
+        rng = rng_of(73)
+        q = random_distribution(rng, 3)
+        grid = SimplexGrid(3, 300, interior_only=interior_only)  # 45451 points, three blocks
+        f = np.array([[1.0, 0.0, 0.0], [0.3, -0.7, 0.2]])
+        # the constrained points, p_a near 0.9, all lie in the last block
+        for lin in (None, LinearFamilySpec(f, f @ np.array([0.9, 0.06, 0.04]), alphabet=q.alphabet)):
+            p_best, value, gap = grid_forward_min(kind, alpha, q, lin, grid)
+            ref = whole_grid_forward_min(DivergenceKind(kind), alpha, q, lin, grid)
+            assert_same_bits(p_best.probs, ref[0])
+            assert_same_bits(value, ref[1])
+            assert_same_bits(gap, ref[2])
+
+
+class TestBlockMemory:
+    """A grid's memory is set by a block: the unblocked oracle peaked at
+    207-229 MB on these 10^6-point grids."""
+
+    @pytest.mark.parametrize("kind", [FamilyKind.EXPONENTIAL, FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW])
+    def test_a_million_point_grid_stays_under_16_mb(self, kind):
+        rng = rng_of(79)
+        alpha = 1.0 if kind is FamilyKind.EXPONENTIAL else 2.0
+        spec = random_family(rng, kind, m=8, k=3, alpha=alpha, f_scale=0.2)
+        sample = sample_from(spec, np.zeros(3), 500, rng)
+        grid = ThetaGrid.of(-0.3, 0.3, 100, k=3)
+        assert grid.point_count() == MAX_GRID_POINTS
+        div = DivergenceKind.KL if kind is FamilyKind.EXPONENTIAL else DivergenceKind.DENSITY_POWER
+        tracemalloc.start()
+        try:
+            _, value = grid_reverse_min(div, alpha, sample, spec, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(value)
+        assert peak < 16 * 2**20
 
 
 class TestForwardOracle:
