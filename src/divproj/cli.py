@@ -144,6 +144,10 @@ def _parse_range(text: str):
 # --- sample generation ----------------------------------------------------------
 
 
+# a sample of more draws is refused before anything is allocated
+MAX_SAMPLE_SIZE = 10**6
+
+
 def sample_generator(spec, theta, n, contamination=None, seed=0) -> SampleData:
     """Draw n i.i.d. symbols from P_theta, optionally contaminated.
 
@@ -151,16 +155,19 @@ def sample_generator(spec, theta, n, contamination=None, seed=0) -> SampleData:
     by the outlier symbol independently with the given probability.
     Deterministic under the seed.
     """
-    if n < 1:
-        raise InputError("sample size must be at least 1")
+    if not 1 <= n <= MAX_SAMPLE_SIZE:
+        raise InputError(f"sample size must be in 1..{MAX_SAMPLE_SIZE}, got {n}")
+    if contamination is not None:
+        rate, outlier = contamination
+        if not 0.0 <= rate < 1.0:
+            raise InputError(f"contamination rate must be in [0, 1), got {rate}")
+        if outlier is None:
+            raise InputError("--rate needs --outlier SYMBOL")
+        outlier_idx = spec.alphabet.index(outlier)
     p = member_with_normalizer(spec, theta)[0]
     rng = np.random.default_rng(seed)
     idx = rng.choice(spec.alphabet.size, size=n, p=p.probs)
     if contamination is not None:
-        rate, outlier = contamination
-        if not 0.0 <= rate < 1.0:
-            raise InputError("contamination rate must be in [0, 1)")
-        outlier_idx = spec.alphabet.index(outlier)
         idx = np.where(rng.random(n) < rate, outlier_idx, idx)
     obs = [spec.alphabet.symbols[i] for i in idx]
     return empirical(obs, spec.alphabet)
@@ -353,11 +360,7 @@ def _cmd_oracle_reverse(args, cfg):
 def _cmd_sample(args, cfg):
     spec = load_family(args.family)
     theta = _parse_vector(args.theta)
-    contamination = None
-    if args.rate > 0.0:
-        if args.outlier is None:
-            raise InputError("--rate needs --outlier SYMBOL")
-        contamination = (args.rate, args.outlier)
+    contamination = None if args.rate == 0.0 else (args.rate, args.outlier)
     seed = cfg.rng_seed
     sample = sample_generator(spec, theta, args.n, contamination=contamination, seed=seed)
     if args.out:

@@ -35,9 +35,10 @@ whose tilt theta.f overflows.
 
 The linear family {P : f P = a} solves its linear programs once, at
 construction, and caches the centre, margin and support face they give.
-The LPs are small (a row per statistic, the mass row and, in the max-min
-LP, a row per symbol), so a dense two-phase tableau simplex in numpy,
-``linprog``, solves them; the module needs no scipy.
+Every LP has the family's own k + 1 rows (f; 1) P = (a, 1): the max-min LP
+writes P = t + s with s >= 0, which needs no row per symbol.  So a dense
+two-phase tableau simplex in numpy, ``linprog``, solves them; the module
+needs no scipy.
 """
 
 from __future__ import annotations
@@ -561,14 +562,15 @@ def linprog(c, A, b):
 
     Each row of (A, b) is scaled by the power of two at its largest
     coefficient and signed so that b >= 0, so LP_TOL is relative to the
-    data.  A column that is then a unit vector e_r starts basic in row r;
-    every other row starts from an artificial variable.  Phase 1 minimizes
-    the sum of the artificials and calls the LP infeasible when it stays
-    above LP_TOL; artificials left basic at 0 are pivoted out where their
-    row has a usable entry (a redundant row keeps its own).  Phase 2 starts
-    from that basis with the true costs.  The answer is read off the optimal
-    basis by solving its two square systems afresh, not off the tableau,
-    whose pivots on small entries amplify rounding.
+    data.  Every row starts from an artificial variable: the linear
+    family's LPs have k + 1 rows, so there is no slack basis to reuse.
+    Phase 1 minimizes the sum of the artificials and calls the LP
+    infeasible when it stays above LP_TOL; artificials left basic at 0 are
+    pivoted out where their row has a usable entry (a redundant row keeps
+    its own).  Phase 2 starts from that basis with the true costs.  The
+    answer is read off the optimal basis by solving its two square systems
+    afresh, not off the tableau, whose pivots on small entries amplify
+    rounding.
 
     Returns ``(status, x, y)`` with scipy's status codes (0 optimal, 2
     infeasible, 3 unbounded); ``x`` and the equality duals ``y`` (c - A^T y
@@ -581,13 +583,9 @@ def linprog(c, A, b):
     mantissa, exponent = np.frexp(np.max(np.abs(A), axis=1, initial=0.0))
     d = np.where(b < 0.0, -1.0, 1.0) / np.ldexp(1.0, exponent - (mantissa == 0.5))
     scaled = np.hstack([A * d[:, None], np.eye(rows), (b * d)[:, None]])
-    nonzero = scaled[:, :n] != 0.0
-    units = np.flatnonzero((nonzero.sum(axis=0) == 1) & (scaled[:, :n].max(axis=0, initial=0.0) == 1.0))
     basis = np.arange(n, n + rows)
-    basis[np.argmax(nonzero[:, units], axis=0)] = units
-    artificial = basis >= n
-    tableau = np.vstack([scaled, -scaled[artificial].sum(axis=0)])
-    tableau[-1, n:-1] = ~artificial  # the phase-1 cost of a nonbasic artificial
+    tableau = np.vstack([scaled, -scaled.sum(axis=0)])
+    tableau[-1, n:-1] = 0.0  # the artificials are basic: reduced cost 0
     _simplex(tableau, basis, n, LP_ROUNDING)
     if -tableau[-1, -1] > LP_TOL:
         return 2, None, None
@@ -606,30 +604,26 @@ def linprog(c, A, b):
     return 0, x[:n], np.linalg.solve(matrix.T, cost[basis]) * d
 
 
-def _max_min_member(f: np.ndarray, a: np.ndarray, columns: np.ndarray):
+def _max_min_member(A: np.ndarray, b: np.ndarray, columns: np.ndarray):
     """The LP max t s.t. f P = a, sum P = 1, P >= t on ``columns``, P = 0
     elsewhere: the member whose smallest coordinate on ``columns`` is largest.
 
-    Each P_j >= t becomes t - P_j + u_j = 0 with a slack u_j >= 0, so the LP
-    keeps the data as given, a P_j that must vanish is an exact 0, and the
-    slacks start phase 1 basic.
+    ``A`` is (f; 1) and ``b`` is (a, 1).  With P = t + s on ``columns``
+    (s >= 0) the LP is max t over [A_cols | A_cols 1] (s, t) = b: the same
+    k + 1 rows as the family, and a t column that holds the row sums of f
+    over ``columns`` (and their count in the mass row).  P is written into
+    zeros, so a P_j off ``columns`` is an exact 0.
     Returns ``(P, t)``, or None when no member is supported on ``columns``.
     """
-    sub = f[:, columns]
-    k, s = sub.shape
-    A = np.zeros((k + 1 + s, 2 * s + 1))
-    A[:k, :s] = sub
-    A[k, :s] = 1.0
-    A[k + 1:, :s] = -np.eye(s)
-    A[k + 1:, s] = 1.0
-    A[k + 1:, s + 1:] = np.eye(s)
-    c = np.zeros(2 * s + 1)
+    sub = A[:, columns]
+    s = sub.shape[1]
+    c = np.zeros(s + 1)
     c[s] = -1.0
-    status, x, _ = linprog(c, A, np.concatenate([a, [1.0], np.zeros(s)]))
+    status, x, _ = linprog(c, np.column_stack([sub, sub.sum(axis=1)]), b)
     if status != 0:
         return None
-    probs = np.zeros(f.shape[1])
-    probs[columns] = x[:s]
+    probs = np.zeros(A.shape[1])
+    probs[columns] = x[:s] + x[s]
     return probs, float(x[s])
 
 
@@ -671,27 +665,28 @@ class LinearFamilySpec:
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "alphabet", alphabet)
-        solved = _max_min_member(f, a, np.ones(self.m, dtype=bool))
+        # the family's k + 1 rows (f; 1) P = (a, 1), which every LP reads
+        A = np.vstack([f, np.ones((1, self.m))])
+        b = np.append(a, 1.0)
+        support = np.ones(self.m, dtype=bool)
+        solved = _max_min_member(A, b, support)
         if solved is None:
             raise InfeasibleError("linear family is empty on the simplex")
         center, margin = solved
-        support = np.ones(self.m, dtype=bool)
         certificate = np.zeros(self.k + 1)
         if margin <= SUPPORT_TOL:
             # boundary face: a symbol the max-min point leaves empty is on
             # the face iff some member puts mass on it
-            A_eq = np.vstack([f, np.ones((1, self.m))])
-            b_eq = np.concatenate([a, [1.0]])
             for i in np.flatnonzero(center <= SUPPORT_TOL):
                 c = np.zeros(self.m)
                 c[i] = -1.0  # maximize P(x_i)
-                status, x, y = linprog(c, A_eq, b_eq)
+                status, x, y = linprog(c, A, b)
                 support[i] = bool(status == 0 and x[i] > SUPPORT_TOL)
                 if status == 0 and not support[i]:
                     # the LP dual y has y.(a, 1) = 0 and (f; 1)^T y <= -e_i
                     certificate -= y
         if not support.all():
-            solved = _max_min_member(f, a, support)
+            solved = _max_min_member(A, b, support)
             if solved is None:
                 raise InfeasibleError("linear family has no member on its support face")
             center, margin = solved

@@ -99,13 +99,12 @@ class SimplexGrid:
 
     m: int
     resolution: int
-    interior_only: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "m", _whole(self.m, "simplex size m"))
         object.__setattr__(self, "resolution", _whole(self.resolution, "simplex grid resolution"))
         if self.m < 2 or self.resolution < 1:
-            raise EmptyFeasibleGrid("grid needs m >= 2 and resolution >= 1")
+            raise InputError(f"simplex grid needs m >= 2 and resolution >= 1, got {self.m} and {self.resolution}")
         if self.point_count() > MAX_GRID_POINTS:
             raise InputError(f"simplex grid of {self.point_count()} points exceeds {MAX_GRID_POINTS}")
 
@@ -128,15 +127,8 @@ class SimplexGrid:
             rest = rest[parent] - part
         return np.stack(parts + [rest], axis=1)
 
-    def kept_counts(self) -> np.ndarray:
-        """``counts()``, without the boundary rows when ``interior_only``."""
-        counts = self.counts()
-        if self.interior_only:
-            counts = counts[np.all(counts > 0, axis=1)]
-        return counts
-
     def points(self) -> np.ndarray:
-        return self.kept_counts() / float(self.resolution)
+        return self.counts() / float(self.resolution)
 
 
 def grid_forward_min(
@@ -155,7 +147,7 @@ def grid_forward_min(
     no constraint), the slack its value stands on."""
     alpha = check_alpha(alpha, allow_one=True)
     kind = DivergenceKind(kind)
-    counts = grid.kept_counts()
+    counts = grid.counts()
     tol = 0.5 / grid.resolution
     lowest = _FirstLowest()
     for start, stop in _blocks(len(counts)):

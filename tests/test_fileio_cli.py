@@ -478,6 +478,27 @@ class TestCLI:
         assert code == 2
         assert "exceeds" in json.loads(out)["message"]
 
+    @pytest.mark.parametrize("resolution", ["0", "-3"])
+    def test_empty_simplex_grid_exit_two(self, capsys, files, resolution):
+        code, out, _ = self.run(
+            capsys, "oracle", "forward", "--kind", "dpd", "--alpha", "2", "--q", files["q3"],
+            f"--resolution={resolution}",
+        )
+        assert code == 2
+        assert json.loads(out)["error"] == "InputError"
+
+    @pytest.mark.parametrize("args, message", [
+        (["--n", "5", "--rate=-0.5", "--outlier", "a"], "contamination rate"),
+        (["--n", "5", "--rate", "nan", "--outlier", "a"], "contamination rate"),
+        (["--n", "1000000000000000"], "sample size"),  # refused before the draws are allocated
+    ])
+    def test_bad_sample_inputs_exit_two(self, capsys, files, args, message):
+        code, out, err = self.run(capsys, "sample", "--family", files["fam"], "--theta", "0.1", *args)
+        assert code == 2
+        report = json.loads(out)
+        assert report["error"] == "InputError" and message in report["message"]
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("route", ["eq", "lik"])
     def test_underflowing_start_exit_one(self, capsys, files, route):
         # at theta = 800 the member's mass on "a" underflows to 0

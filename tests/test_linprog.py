@@ -83,11 +83,26 @@ def built_with(solver, f, a):
         divproj.families.linprog = original
 
 
+def built_recording_rows(f, a):
+    """``built_with(linprog, f, a)``, and the row count of every LP solved."""
+    rows = []
+
+    def recording(c, A, b):
+        rows.append(np.shape(A)[0])
+        return linprog(c, A, b)
+
+    return built_with(recording, f, a), rows
+
+
 def check_against_highs(f, a):
-    m = f.shape[1]
+    k, m = f.shape
+    lin, rows = built_recording_rows(f, a)
+    # every LP runs on the family's own rows (f; 1), none per symbol
+    assert rows and all(r == k + 1 for r in rows)
     full = np.ones(m, dtype=bool)
     status, margin = highs_max_min(f, a)
-    solved = _max_min_member(f, a, full)
+    A, b = np.vstack([f, np.ones((1, m))]), np.append(a, 1.0)
+    solved = _max_min_member(A, b, full)
     assert (solved is not None) == (status == 0)
     if solved is None:
         assert built_with(highs, f, a) is InfeasibleError
@@ -97,7 +112,6 @@ def check_against_highs(f, a):
     assert np.max(np.abs(f @ center - a)) <= 1e-12 and abs(center.sum() - 1.0) <= 1e-12
     assert center.min() >= t - 1e-12
     # the face LPs: max P(x_i) over the family, for every symbol
-    A, b = np.vstack([f, np.ones((1, m))]), np.append(a, 1.0)
     for i in range(m):
         c = -np.eye(m)[i]
         ours, ref = linprog(c, A, b), highs(c, A, b)
@@ -105,7 +119,7 @@ def check_against_highs(f, a):
         assert abs(c @ ours[1] - c @ ref[1]) <= 1e-12
         assert np.min(c - A.T @ ours[2]) >= -1e-9  # dual feasible
         assert abs(b @ ours[2] - c @ ours[1]) <= 1e-12  # no duality gap
-    lin, ref = LinearFamilySpec(f, a), built_with(highs, f, a)
+    ref = built_with(highs, f, a)
     assert np.array_equal(lin.support_mask(), ref.support_mask())
     cert = lin.face_certificate()
     w = cert[:-1] @ f + cert[-1]
@@ -120,17 +134,44 @@ def test_random_families_agree_with_highs(family):
     check_against_highs(*family)
 
 
-@pytest.mark.parametrize("f, a", [
+DEGENERATE = [
     ([[1.0, 0.0, 0.0]], [0.0]),  # boundary face x1, x2
     ([[1.0, 1.0, 0.0]], [1.0]),  # boundary face x0, x1
     ([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], [0.3, 0.0]),  # the single member (0.3, 0.7, 0)
+    ([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]], [0.0, 1.0]),  # the single member (0, 0, 1, 0)
     ([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], [0.5, 1.0]),  # a redundant row
     ([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], [0.5, 0.5]),  # inconsistent rows
     ([[0.0, 0.0, 0.0]], [0.0]),  # a zero row
     ([[1.0, 2.0, 3.0]], [3.5]),  # no member
-])
+]
+
+
+@pytest.mark.parametrize("f, a", DEGENERATE)
 def test_degenerate_families_agree_with_highs(f, a):
     check_against_highs(np.array(f), np.array(a))
+
+
+def large_family(rng, m, boundary):
+    """A k = 2 family on m symbols, pinned to a boundary face as the corpus
+    pins it (row 0 a constant plus the indicator of an empty symbol) or with
+    a target of full support."""
+    f = rng.standard_normal((2, m))
+    target = rng.dirichlet(np.ones(m))
+    if boundary:
+        missing = int(rng.integers(m))
+        f[0] = rng.uniform(-0.5, 0.5)
+        f[0, missing] += 1.0
+        target[missing] = 0.0
+        target /= target.sum()
+    return f, f @ target
+
+
+@pytest.mark.parametrize("boundary", [False, True])
+@pytest.mark.parametrize("m", [50, 100, 200])
+def test_large_alphabets_agree_with_highs(m, boundary):
+    f, a = large_family(rng_of(m + boundary), m, boundary)
+    lin, _ = check_against_highs(f, a)
+    assert lin.support_mask().all() != boundary
 
 
 def test_forward_corpus_agrees_with_highs():
@@ -173,8 +214,9 @@ def test_margin_is_scale_free():
     f = rng.standard_normal((2, 4))
     a = f @ random_distribution(rng, 4).probs
     full = np.ones(4, dtype=bool)
-    base = _max_min_member(f, a, full)[1]
+    base = _max_min_member(np.vstack([f, np.ones(4)]), np.append(a, 1.0), full)[1]
     assert base > SUPPORT_TOL
     for scale in (1e-6, 1e6):
-        row = np.array([scale, 1.0])
-        assert _max_min_member(f * row[:, None], a * row, full)[1] == pytest.approx(base, abs=1e-12)
+        row = np.array([scale, 1.0, 1.0])
+        A, b = np.vstack([f, np.ones(4)]) * row[:, None], np.append(a, 1.0) * row
+        assert _max_min_member(A, b, full)[1] == pytest.approx(base, abs=1e-12)

@@ -64,11 +64,6 @@ class TestSimplexGrid:
             assert counts.dtype == np.int64
             assert np.array_equal(counts, expected)
 
-    def test_interior_only_drops_boundary(self):
-        pts = SimplexGrid(3, 4, interior_only=True).points()
-        assert np.all(pts > 0.0)
-        assert len(pts) == 3  # compositions of 4 into 3 positive parts
-
 
 class TestGridCaps:
     """Parameter grids past the point cap are refused before anything is
@@ -262,12 +257,11 @@ class TestBlocks:
         assert_same_bits(blocks, mesh)
         assert_same_bits(grid.points(), mesh)
 
-    @pytest.mark.parametrize("interior_only", [False, True])
     @pytest.mark.parametrize("kind, alpha", [("kl", 1.0), ("renyi", 0.5), ("dpd", 2.0), ("rae", 3.0)])
-    def test_blocked_forward_oracle_is_the_whole_grid_bit_for_bit(self, kind, alpha, interior_only):
+    def test_blocked_forward_oracle_is_the_whole_grid_bit_for_bit(self, kind, alpha):
         rng = rng_of(73)
         q = random_distribution(rng, 3)
-        grid = SimplexGrid(3, 300, interior_only=interior_only)  # 45451 points, three blocks
+        grid = SimplexGrid(3, 300)  # 45451 points, three blocks
         f = np.array([[1.0, 0.0, 0.0], [0.3, -0.7, 0.2]])
         # the constrained points, p_a near 0.9, all lie in the last block
         for lin in (None, LinearFamilySpec(f, f @ np.array([0.9, 0.06, 0.04]), alphabet=q.alphabet)):
@@ -335,8 +329,16 @@ class TestForwardOracle:
 
     def test_empty_grid_raises(self):
         q = Distribution(A3, np.full(3, 1 / 3))
+        # the grid's points are the vertices, where 2 P(a) is 0 or 2: each
+        # misses 1 by more than half a cell
+        lin = LinearFamilySpec(np.array([[2.0, 0.0, 0.0]]), np.array([1.0]), alphabet=A3)
         with pytest.raises(EmptyFeasibleGrid):
-            grid_forward_min(DivergenceKind.KL, 1.0, q, None, SimplexGrid(3, 1, interior_only=True))
+            grid_forward_min(DivergenceKind.KL, 1.0, q, lin, SimplexGrid(3, 1))
+
+    @pytest.mark.parametrize("m, resolution", [(1, 5), (3, 0), (3, -2)])
+    def test_empty_grid_size_is_an_input_error(self, m, resolution):
+        with pytest.raises(InputError, match="simplex grid needs"):
+            SimplexGrid(m, resolution)
 
     def test_refinement_shrinks_value_gap(self):
         # per-instance ratios are alignment-noisy, so the check runs on the
