@@ -13,11 +13,20 @@ iff its defining bracket stays positive on the whole alphabet.  The
 non-normalized kind carries its normalizer *inside* the bracket, so Z(theta)
 is the root of a one-dimensional monotone mass equation rather than an
 explicit sum; it is found by a safeguarded Newton iteration that keeps a
-closed-form bracket around the root and bisects whenever a Newton step would
-leave it.  Over a batch of parameters the iteration runs on the rows that
-have not converged yet, so a grid costs about two evaluations per row, not
-as many as its slowest row needs.  Evaluation works in the bracket domain
-and raises the final power once, which keeps domain checks exact.
+closed-form bracket around the root.  A Newton step that would leave it
+bisects, except above a = 2, where the mass is concave in Z: there the step
+jumps to a closed-form point right of the root, from which Newton converges
+monotonically and no row bisects.  Over a batch of parameters the iteration
+runs on the rows that have not converged yet, so a grid costs about two
+evaluations per row, not as many as its slowest row needs.  Evaluation
+works in the bracket domain and raises the final power once, which keeps
+domain checks exact.
+
+The power-law kinds also state necessary linear conditions for
+admissibility, half-spaces G theta < h (``admissible_halfspaces``): the
+brackets themselves for the normalized kinds, and bounds implied by the
+edge mass for the non-normalized kind above a = 1.  The reverse grid oracle
+screens its rows by them; the row test alone still decides admissibility.
 
 Members are evaluated by one kernel over rows of parameters (the grid
 oracle's batches); ``member_with_normalizer`` and ``normalizer_root`` are its
@@ -180,6 +189,53 @@ def is_admissible(spec: FamilySpec, theta) -> bool:
         return False
 
 
+# the row test rounds far below this share of the terms it sums: 1e-9 is
+# about 10^7 ulps, so a screen by the half-spaces below drops no admissible row
+HALFSPACE_SLACK = 1e-9
+
+
+def admissible_halfspaces(spec: FamilySpec):
+    """Half-spaces G theta < h that every admissible theta satisfies:
+    ``(G, h, scale)``, G and ``scale`` (r, k) and h (r,); r = 0 when the
+    kind has none.
+
+    * alpha power-law and alpha-exponential kinds: the brackets themselves,
+      (a-1) theta.f(x) < Q(x)^(a-1) (resp. Q(x)^(1-a)) for every x.
+    * non-normalized kind at a > 1, with edge e_x = Q(x)^(a-1)/(a-1) -
+      theta.f(x): a normalizer exists iff the edge mass sum_x t_x^(1/(a-1))
+      is below 1, t_x = (a-1)(e_x - min_y e_y) >= 0.  So every t_x < 1,
+      which gives (a-1)(e_x - e_y) < 1 for every pair x != y; and sum_x t_x
+      < B, which gives (a-1) sum_x (e_x - e_y) < B for every y, with B = 1
+      for a >= 2 (t^p >= t on [0, 1] when p <= 1) and B = m^(2-a) below
+      (the power mean: (sum_x t_x / m)^p <= sum_x t_x^p / m < 1/m).
+    * none for the exponential kind, or for the non-normalized kind below
+      a = 1, where every finite tilt has a normalizer.
+
+    ``scale`` bounds the terms the row test sums for each half-space: an
+    admissible theta has G theta < h + HALFSPACE_SLACK (1 + |h| + scale |theta|)
+    in floating point too.
+    """
+    a, f, m, k = spec.alpha, spec.f, spec.q.m, spec.theta_dim
+    kind = spec.kind
+    if kind is FamilyKind.EXPONENTIAL or (kind is FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW and a < 1.0):
+        return np.zeros((0, k)), np.zeros(0), np.zeros((0, k))
+    if kind is not FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW:
+        power = 1.0 - a if kind is FamilyKind.ALPHA_EXPONENTIAL else a - 1.0
+        G = (a - 1.0) * f.T
+        return G, spec.q.probs**power, np.abs(G)
+    qa, ft, fabs = spec.q.probs ** (a - 1.0), f.T, np.abs(f.T)
+    x, y = (i.ravel() for i in np.nonzero(~np.eye(m, dtype=bool)))
+    # (a-1)(e_x - e_y) = Q(x)^(a-1) - Q(y)^(a-1) - (a-1) theta.(f(x) - f(y))
+    pair_G, pair_h = (a - 1.0) * (ft[y] - ft[x]), 1.0 - (qa[x] - qa[y])
+    pair_scale = (a - 1.0) * (fabs[x] + fabs[y])
+    # (a-1) sum_x (e_x - e_y) = sum Q^(a-1) - m Q(y)^(a-1) - (a-1) theta.(sum f - m f(y))
+    bound = 1.0 if a >= 2.0 else m ** (2.0 - a)
+    sum_G = (a - 1.0) * (m * ft - ft.sum(axis=0))
+    sum_h = bound - (qa.sum() - m * qa)
+    sum_scale = (a - 1.0) * (fabs.sum(axis=0) + m * fabs)
+    return np.vstack([pair_G, sum_G]), np.concatenate([pair_h, sum_h]), np.vstack([pair_scale, sum_scale])
+
+
 def _symbols(spec: FamilySpec, mask: np.ndarray) -> tuple[str, ...]:
     return tuple(s for s, hit in zip(spec.alphabet.symbols, mask) if hit)
 
@@ -322,8 +378,17 @@ def _normalizer_rows(spec: FamilySpec, tilt: np.ndarray):
     1 and the mass is at least 1.  For a < 1 the mass falls from +inf at the
     edge to 0; at z_edge + m^(1-a)/(1-a) every bracket is at least m^(1-a)
     and the mass at most 1.  Inside that bracket [lo, hi] a Newton step is
-    taken when it stays strictly inside and a bisection step otherwise,
-    until |mass - 1| <= NORMALIZER_TOL.  Only the active rows are evaluated:
+    taken when it stays strictly inside, until |mass - 1| <= NORMALIZER_TOL.
+    Otherwise the row bisects, but above a = 2, where t^(1/(a-1)) and with
+    it the mass is concave, it jumps to the lower of two points whose mass
+    is at most 1: the Z where the mean bracket is m^(1-a) (Jensen), and
+    z_edge - ((1 - edge mass)/m)^(a-1)/(a-1) (subadditivity, with the edge
+    mass of the root test).  From a point right of the root every Newton
+    step stays right of it and inside the bracket, so the row converges
+    monotonically (the jump is taken only when it lies strictly inside the
+    bracket; should rounding put it outside, the row bisects).  A row that
+    never left the bracket takes the same steps as before.  Only the active
+    rows are evaluated:
     a rootless row never enters, and a row leaves on the step it converges,
     keeping that step's mass, Newton point and admissibility.  Each row's
     arithmetic is that of its one-row call, so a batch and the one-row calls
@@ -346,15 +411,17 @@ def _normalizer_rows(spec: FamilySpec, tilt: np.ndarray):
         admissible = reduce_rows(np.logical_and, bracket > 0.0)
         return total_mass(bracket), -reduce_rows(np.add, bracket ** (expo - 1.0)), admissible
 
-    n = len(tilt)
+    n, m = tilt.shape
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        z_edge = reduce_rows(np.minimum if a > 1.0 else np.maximum, qa / (a - 1.0) - tilt)
+        edges = qa / (a - 1.0) - tilt
+        z_edge = reduce_rows(np.minimum if a > 1.0 else np.maximum, edges)
         if a > 1.0:
             lo, hi = z_edge - 1.0 / (a - 1.0), z_edge
             # the mass at the edge alone decides whether a root exists
-            has_root = total_mass(_bracket(spec, tilt, hi[:, None])) < 1.0
+            edge_mass = total_mass(_bracket(spec, tilt, hi[:, None]))
+            has_root = edge_mass < 1.0
         else:
-            lo, hi = z_edge, z_edge + qa.size ** (1.0 - a) / (1.0 - a)
+            lo, hi = z_edge, z_edge + m ** (1.0 - a) / (1.0 - a)
             has_root = np.ones(n, dtype=bool)
         interval = (lo, hi)
         z = np.where((lo < 0.0) & (0.0 < hi), 0.0, 0.5 * (lo + hi))
@@ -363,7 +430,16 @@ def _normalizer_rows(spec: FamilySpec, tilt: np.ndarray):
         rows = np.flatnonzero(has_root)
         if not rows.size:
             return z, has_root.copy(), has_root, *interval
-        t, zr, lr, hr = (tilt, z, lo, hi) if rows.size == n else (x[rows] for x in (tilt, z, lo, hi))
+        # where a step that leaves the bracket goes instead of its midpoint
+        # (NaN: nowhere).  Above a = 2 it is the lower of two points with
+        # mass <= 1, right of the root: where the mean bracket is m^(1-a)
+        # (Jensen, t^p concave), and z_edge - ((1 - edge mass)/m)^(a-1)/(a-1)
+        # (subadditivity of t^p)
+        jump = np.full(n, np.nan)
+        if a > 2.0:
+            jensen = reduce_rows(np.add, edges) / m - m ** (1.0 - a) / (a - 1.0)
+            jump = np.minimum(jensen, z_edge - ((1.0 - edge_mass) / m) ** (a - 1.0) / (a - 1.0))
+        t, zr, lr, hr, jr = (tilt, z, lo, hi, jump) if rows.size == n else (x[rows] for x in (tilt, z, lo, hi, jump))
         mass = None  # each row's last state, kept once some row has stopped
         for step in range(NORMALIZER_MAX_STEPS):
             mr, slope, ar = evaluate(t, zr)
@@ -389,8 +465,8 @@ def _normalizer_rows(spec: FamilySpec, tilt: np.ndarray):
                 if stop.all():
                     break
                 keep = ~stop
-                rows, t, zr, lr, hr, nr, ir = (x[keep] for x in (rows, t, zr, lr, hr, nr, ir))
-            zr = np.where(ir, nr, 0.5 * (lr + hr))
+                rows, t, zr, lr, hr, nr, ir, jr = (x[keep] for x in (rows, t, zr, lr, hr, nr, ir, jr))
+            zr = np.where(ir, nr, np.where((lr < jr) & (jr < hr), jr, 0.5 * (lr + hr)))
     found = has_root & admissible & (np.abs(mass - 1.0) <= NORMALIZER_ACCEPT_TOL)
     # one last Newton step from |mass - 1| <= NORMALIZER_TOL lands within
     # rounding of the root, so Z(theta) is smooth to rounding and finite-difference

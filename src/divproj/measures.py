@@ -57,6 +57,13 @@ class Alphabet:
         except KeyError:
             raise UnknownLabelError(f"label {symbol!r} not in alphabet") from None
 
+    def indices(self, symbols) -> np.ndarray:
+        """The index of each of a sequence of str symbols, as one int64 array."""
+        try:
+            return np.fromiter(map(self._index.__getitem__, symbols), dtype=np.int64, count=len(symbols))
+        except KeyError as err:
+            raise UnknownLabelError(f"label {err.args[0]!r} not in alphabet") from None
+
     @classmethod
     def of_size(cls, m: int) -> "Alphabet":
         """Synthetic alphabet x0..x{m-1} for callers that only have vectors."""
@@ -234,14 +241,19 @@ def empirical_weights(sample_or_dist) -> np.ndarray:
     raise DomainError(f"expected SampleData or Distribution, got {type(sample_or_dist)!r}")
 
 
+TALLY_CHUNK = 2**16  # observations tallied at once
+
+
 def empirical(observations, alphabet: Alphabet) -> SampleData:
     """Tally observations into counts and the empirical measure."""
-    obs = tuple(str(o) for o in observations)
+    obs = tuple(map(str, observations))
     if len(obs) == 0:
         raise EmptySampleError("need at least one observation")
+    # a chunk at a time: an index array as long as the sample would double
+    # the memory the labels take
     counts = np.zeros(alphabet.size, dtype=np.int64)
-    for o in obs:
-        counts[alphabet.index(o)] += 1
+    for start in range(0, len(obs), TALLY_CHUNK):
+        counts += np.bincount(alphabet.indices(obs[start : start + TALLY_CHUNK]), minlength=alphabet.size)
     probs = counts / counts.sum()
     dist = Distribution(alphabet, probs, strict=False)
     counts.setflags(write=False)

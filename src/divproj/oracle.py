@@ -10,6 +10,17 @@ whole, and the block minima are reduced in grid order by ``np.argmin``'s own
 rule (first lowest, first NaN), which is the argmin of the whole grid.  A
 grid of at most ``BLOCK_ROWS`` points is one block.
 
+A reverse grid first screens its rows by the family's half-spaces
+(``families.admissible_halfspaces``), which every admissible theta meets.
+On each line of the grid's last axis they bound that parameter to an index
+range, widened by one cell and a relative slack, and only the rows in those
+ranges, the candidates, are built and scored, in grid order and in blocks
+of at most ``BLOCK_ROWS`` of them.  Rows are built from line ranges, the
+leading parameters repeated and the last one sliced off its axis, for the
+whole-grid walk of the kinds without half-spaces too.  The row test stays
+the only admissibility decision and a dropped row could not pass it, so
+the answer is the unscreened grid's bit for bit.
+
 The oracles evaluate no formula of their own: grid rows go through the same
 row kernels as the scalar calls (``divergence_rows`` for the divergences,
 ``eval_members_batch`` for family members), so brute force and solvers
@@ -29,7 +40,7 @@ import numpy as np
 
 from .divergences import DivergenceKind, check_log_terms, divergence_fixed_p, divergence_rows
 from .errors import EmptyFeasibleGrid, InputError, NoAdmissibleTheta
-from .families import FamilySpec, LinearFamilySpec, eval_members_batch
+from .families import HALFSPACE_SLACK, FamilySpec, LinearFamilySpec, admissible_halfspaces, eval_members_batch
 from .measures import Distribution, SampleData, check_alpha
 
 # The cap bounds an oracle's time (and a simplex grid's integer compositions,
@@ -40,9 +51,9 @@ MAX_GRID_POINTS = 10**6
 # Rows scored at once.  Blocks are split as np.array_split splits, so a grid
 # past one block never leaves a one-row block: numpy's one-row product takes
 # another path than a many-row one and rounds theta.f differently.  Each
-# block of a Basu alpha = 3 grid pays its edge rows' 34-43 normalizer passes
-# anew, so smaller blocks cost time there: re-measure before going below
-# 2**14.
+# block of a Basu alpha = 3 grid runs its own normalizer passes to its
+# slowest row, about 7-12 on the benchmark's grids, so smaller blocks cost
+# time: re-measure before going below 2**14.
 BLOCK_ROWS = 2**14
 
 
@@ -204,18 +215,119 @@ class ThetaGrid:
     def _axes(self) -> list[np.ndarray]:
         return [np.linspace(lo, hi, int(s)) for lo, hi, s in zip(self.lo, self.hi, self.steps)]
 
+    def _line_rows(self, lines: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+        """Rows ``starts[j]..stops[j]`` of each line ``lines[j]``, in that
+        order.  A line is the last axis at fixed leading indices, and lines
+        are numbered in mesh order; each entry is read off its linspace axis,
+        the leading ones repeated over their line, the last one a slice."""
+        counts = stops - starts
+        total = int(counts.sum())
+        out = np.empty((total, len(self._axes)))
+        if len(self._axes) > 1:
+            lead = np.unravel_index(lines, tuple(len(a) for a in self._axes[:-1]))
+            for col, (axis, i) in enumerate(zip(self._axes, lead)):
+                out[:, col] = np.repeat(axis[i], counts)
+        # the position in the last axis: the row's rank plus its line's offset
+        shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        out[:, -1] = self._axes[-1][np.arange(total) + shift]
+        return out
+
     def rows(self, start: int, stop: int) -> np.ndarray:
         """Points ``start..stop`` of the grid in mesh order (the first
-        parameter varies slowest), each entry read off its linspace axis,
-        so blocks of rows concatenate to ``points()`` bit for bit."""
-        index = np.unravel_index(np.arange(start, stop), tuple(len(a) for a in self._axes))
-        return np.stack([axis[i] for axis, i in zip(self._axes, index)], axis=1)
+        parameter varies slowest), so blocks of rows concatenate to
+        ``points()`` bit for bit."""
+        s = int(self.steps[-1])
+        if stop <= start:
+            return np.empty((0, len(self.steps)))
+        lines = np.arange(start // s, (stop - 1) // s + 1)
+        starts, stops = np.zeros(len(lines), dtype=np.int64), np.full(len(lines), s, dtype=np.int64)
+        starts[0], stops[-1] = start - lines[0] * s, stop - lines[-1] * s
+        return self._line_rows(lines, starts, stops)
 
     def points(self) -> np.ndarray:
         return self.rows(0, self.point_count())
 
     def cell_width(self) -> np.ndarray:
         return (self.hi - self.lo) / np.maximum(1, self.steps - 1)
+
+
+def _line_spans(grid: ThetaGrid, spec: FamilySpec):
+    """``(lines, starts, stops)``: on each line of ``grid`` that can hold an
+    admissible row, the index range of its last axis that can; None when
+    the family has no half-spaces to screen by (or their coefficients
+    overflow).
+
+    On a line the leading parameters u are fixed, so each half-space G theta
+    < h of ``admissible_halfspaces`` bounds the last one, t, from one side;
+    its right side gets the slack HALFSPACE_SLACK (1 + |h| + scale |theta|),
+    with |t| at its largest on the axis.  The range holds the axis points
+    within the bounds widened by one cell each way; a line whose bounds
+    are not finite keeps every row.  Lines are screened a chunk at a time,
+    so no (lines, half-spaces) array outgrows a block.
+    """
+    G, h, scale = admissible_halfspaces(spec)
+    if not len(h) or not (np.isfinite(G).all() and np.isfinite(scale).all()):
+        return None
+    axes = grid._axes
+    axis, s = axes[-1], len(axes[-1])
+    rising = axis[0] <= axis[-1]
+    ascending = axis if rising else axis[::-1]
+    t_max = max(abs(axis[0]), abs(axis[-1]))
+    cell = abs(axis[-1] - axis[0]) / max(s - 1, 1)
+    shape = tuple(len(a) for a in axes[:-1])
+    total = math.prod(shape)
+    chunk = max(1, BLOCK_ROWS // len(h))
+    spans = []
+    for first in range(0, total, chunk):
+        lines = np.arange(first, min(first + chunk, total))
+        u = np.stack([a[i] for a, i in zip(axes, np.unravel_index(lines, shape))], axis=1) if shape else np.zeros((1, 0))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            slack = HALFSPACE_SLACK * (1.0 + np.abs(h) + np.abs(u) @ scale[:, :-1].T + t_max * scale[:, -1])
+            room = h - u @ G[:, :-1].T + slack  # (lines, half-spaces): g t < room
+            bound = room / G[:, -1]
+            upper = np.min(bound, axis=1, where=G[:, -1] > 0.0, initial=np.inf) + cell
+            lower = np.max(bound, axis=1, where=G[:, -1] < 0.0, initial=-np.inf) - cell
+        # a half-space that misses t excludes the whole line, or nothing
+        empty = (lower > upper) | np.any((G[:, -1] == 0.0) & (room <= 0.0), axis=1)
+        whole = ~np.isfinite(room).all(axis=1)
+        start = np.searchsorted(ascending, lower, side="left")
+        stop = np.searchsorted(ascending, upper, side="right")
+        if not rising:
+            start, stop = s - stop, s - start
+        start[whole], stop[whole] = 0, s
+        keep = whole | (~empty & (start < stop))
+        spans.append((lines[keep], start[keep], stop[keep]))
+    return tuple(np.concatenate(parts) for parts in zip(*spans))
+
+
+def _candidate_blocks(grid: ThetaGrid, spec: FamilySpec):
+    """The grid's rows that can be admissible, in grid order, as near-equal
+    blocks of at most BLOCK_ROWS rows; every row of the grid for a family
+    with no half-spaces.  No block has one row unless the grid has one
+    point: a single candidate is scored with a grid neighbour, which the
+    row test then drops, since numpy's one-row product rounds theta.f
+    differently from a many-row one."""
+    n = grid.point_count()
+    spans = _line_spans(grid, spec)
+    if spans is None:
+        for start, stop in _blocks(n):
+            yield grid.rows(start, stop)
+        return
+    lines, starts, stops = spans
+    counts = stops - starts
+    ends = np.cumsum(counts)
+    if n > 1 and len(ends) and ends[-1] == 1:
+        at = int(lines[0] * grid.steps[-1] + starts[0])
+        yield grid.rows(at, at + 2) if at + 1 < n else grid.rows(at - 1, at + 1)
+        return
+    for start, stop in _blocks(int(ends[-1]) if len(ends) else 0):
+        # the lines holding candidates start..stop, cut to them
+        first, last = np.searchsorted(ends, [start, stop - 1], side="right")
+        cut = slice(first, last + 1)
+        lo, hi = starts[cut].copy(), stops[cut].copy()
+        lo[0] += start - (ends[first] - counts[first])
+        hi[-1] = starts[last] + stop - (ends[last] - counts[last])
+        yield grid._line_rows(lines[cut], lo, hi)
 
 
 def grid_reverse_min(
@@ -231,8 +343,7 @@ def grid_reverse_min(
     kind = DivergenceKind(kind)
     ph = sample.empirical.probs
     lowest = _FirstLowest()
-    for start, stop in _blocks(theta_grid.point_count()):
-        thetas = theta_grid.rows(start, stop)
+    for thetas in _candidate_blocks(theta_grid, spec):
         probs, ok = eval_members_batch(spec, thetas)
         if not ok.any():
             continue

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divproj.errors import (
     DomainViolation,
@@ -9,9 +11,11 @@ from divproj.errors import (
 )
 from divproj import families
 from divproj.families import (
+    HALFSPACE_SLACK,
     FamilyKind,
     FamilySpec,
     LinearFamilySpec,
+    admissible_halfspaces,
     escort_family_map,
     escort_family_spec,
     escort_parameter_map,
@@ -25,7 +29,9 @@ from divproj.families import (
     theta_of_member,
     _normalizer_rows,
 )
-from divproj.measures import Alphabet, Distribution, escort
+from divproj.divergences import DivergenceKind
+from divproj.measures import Alphabet, Distribution, SampleData, escort
+from divproj.oracle import ThetaGrid, grid_reverse_min
 
 from conftest import random_admissible_theta, random_distribution, random_family, rng_of
 
@@ -326,18 +332,20 @@ class TestNormalizerRows:
                 assert not found[i]
                 assert np.array_equal(err.interval, (lo[i], hi[i]), equal_nan=True)
 
-    def test_converged_rows_leave_the_iteration(self, monkeypatch):
+    @staticmethod
+    def op58():
         # the family of op 58 of the estimate benchmark (seed 1): Basu at
-        # alpha = 3, k = 2, on its 301 x 301 oracle grid.  Iterating every
-        # row until the slowest converges evaluated 33 n rows.
+        # alpha = 3, k = 2, whose oracle grid is 301 x 301
         q = Distribution(Alphabet.of_size(4), [0.15, 0.22626641375235912, 0.3475163877630808, 0.2762171984845601])
         f = np.array([
             [-0.00014194970620997761, -0.02965470919016319, 0.06910468346888396, -0.03930802457251083],
             [-0.008099009943905184, -0.05950491169223625, 0.008224368944177293, 0.05937955269196414],
         ])
-        spec = FamilySpec(FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW, q, f, alpha=3.0)
-        axis = np.linspace(-3.0, 3.0, 301)
-        thetas = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        return FamilySpec(FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW, q, f, alpha=3.0)
+
+    @staticmethod
+    def count_brackets(monkeypatch) -> list:
+        """The row count of each later ``_bracket`` call."""
         rows = []
         bracket = families._bracket
 
@@ -346,6 +354,14 @@ class TestNormalizerRows:
             return bracket(spec, tilt, z)
 
         monkeypatch.setattr(families, "_bracket", counting)
+        return rows
+
+    def test_converged_rows_leave_the_iteration(self, monkeypatch):
+        # iterating every row until the slowest converges evaluated 33 n rows
+        spec = self.op58()
+        axis = np.linspace(-3.0, 3.0, 301)
+        thetas = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        rows = self.count_brackets(monkeypatch)
         _normalizer_rows(spec, thetas @ spec.f)
         assert sum(rows) <= 3 * len(thetas)
         # the members pass forms brackets on the rows with a normalizer only,
@@ -355,6 +371,83 @@ class TestNormalizerRows:
         probs, ok = eval_members_batch(spec, thetas)
         assert 0 < ok.sum() < len(thetas) // 10
         assert sum(rows) <= 170160
+
+    def test_no_row_bisects_above_alpha_two(self, monkeypatch):
+        # the same grid: at alpha > 2 a Newton step that leaves the bracket
+        # jumps to a point right of the root, from which Newton converges
+        # monotonically.  The normalizer took 33 passes over the grid
+        # bisecting, and the oracle 133 calls of _bracket over its six blocks
+        spec = self.op58()
+        thetas = ThetaGrid.of([-3.0, -3.0], [3.0, 3.0], [301, 301], k=2).points()
+        rows = self.count_brackets(monkeypatch)
+        _normalizer_rows(spec, thetas @ spec.f)
+        assert len(rows) <= 10
+        rows.clear()
+        sample = SampleData.from_counts([60, 90, 140, 110], spec.alphabet)
+        grid_reverse_min(DivergenceKind.DENSITY_POWER, 3.0, sample, spec, ThetaGrid.of([-3.0, -3.0], [3.0, 3.0], [301, 301], k=2))
+        assert len(rows) <= 40
+
+
+class TestAdmissibleHalfspaces:
+    """Every theta that is_admissible accepts satisfies its kind's
+    half-spaces, within the slack the oracle's screen grants them."""
+
+    @staticmethod
+    def assert_inside(spec, theta):
+        G, h, scale = admissible_halfspaces(spec)
+        slack = HALFSPACE_SLACK * (1.0 + np.abs(h) + scale @ np.abs(theta))
+        assert np.all(G @ theta < h + slack), (G @ theta - h) / slack
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(ALL_KINDS),
+        alpha=st.sampled_from([0.3, 0.7, 1.3, 1.8, 2.0, 2.5, 3.0, 6.0]),
+        m=st.integers(2, 8),
+        k=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_admissible_thetas_satisfy_the_halfspaces(self, kind, alpha, m, k, seed):
+        rng = rng_of(seed)
+        spec = random_family(rng, kind, m=m, k=min(k, m - 1), alpha=alpha, f_scale=rng.uniform(0.1, 3.0))
+        G, h, scale = admissible_halfspaces(spec)
+        if kind is FamilyKind.EXPONENTIAL or (kind is FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW and alpha < 1.0):
+            assert G.shape == scale.shape == (0, spec.theta_dim) and h.shape == (0,)
+        radii = np.geomspace(1e-3, 1e3, 20)
+        for _ in range(3):
+            # along a ray: a ladder of radii, then the admissibility edge
+            # itself, bisected between the last admitted radius and the next
+            direction = rng.standard_normal(spec.theta_dim)
+            admitted = [r for r in radii if is_admissible(spec, r * direction)]
+            for r in admitted:
+                self.assert_inside(spec, r * direction)
+            lo = max(admitted, default=0.0)
+            if lo == radii[-1]:
+                continue
+            hi = radii[radii > lo][0]
+            for _ in range(36):
+                mid = 0.5 * (lo + hi)
+                if is_admissible(spec, mid * direction):
+                    self.assert_inside(spec, mid * direction)
+                    lo = mid
+                else:
+                    hi = mid
+
+    def test_the_bounds_are_the_edge_mass_bounds(self):
+        # non-normalized, alpha = 3, m = 3: pairs (a-1)(e_x - e_y) < 1 and
+        # sums (a-1) sum_x (e_x - e_y) < 1; at theta = 0 the edges are Q^2/2
+        q = Distribution(Alphabet.of_size(3), [0.2, 0.3, 0.5])
+        spec = FamilySpec(FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW, q, np.array([[1.0, -2.0, 0.5]]), alpha=3.0)
+        G, h, _ = admissible_halfspaces(spec)
+        assert G.shape == (6 + 3, 1)
+        edges = q.probs**2 / 2.0
+        pairs = [2.0 * (edges[x] - edges[y]) for x in range(3) for y in range(3) if x != y]
+        sums = [2.0 * np.sum(edges - edges[y]) for y in range(3)]
+        assert np.allclose(h, 1.0 - np.array(pairs + sums), atol=1e-15)
+        # below alpha = 2 the sums are bounded by m^(2-a)
+        spec = FamilySpec(FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW, q, spec.f, alpha=1.5)
+        G, h, _ = admissible_halfspaces(spec)
+        sums = [0.5 * np.sum(q.probs**0.5 / 0.5 - q.probs[y] ** 0.5 / 0.5) for y in range(3)]
+        assert np.allclose(h[6:], 3.0**0.5 - np.array(sums), atol=1e-15)
 
 
 class TestAdmissibleRowsOnly:

@@ -15,6 +15,7 @@ from divproj.measures import (
     ROW_LOOP_MIN,
     Alphabet,
     Distribution,
+    TALLY_CHUNK,
     SampleData,
     alpha_norm,
     empirical,
@@ -148,6 +149,26 @@ class TestEmpirical:
     def test_empty(self):
         with pytest.raises(EmptySampleError):
             empirical([], AB)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(labels=st.lists(st.sampled_from(["x0", "x1", "x2", "x3", 2, 3.0]), min_size=1, max_size=60))
+    def test_counts_are_the_tally_of_the_labels(self, labels):
+        alphabet = Alphabet(("x0", "x1", "x2", "x3", "2", "3.0"))
+        s = empirical(labels, alphabet)
+        tally = [sum(str(o) == sym for o in labels) for sym in alphabet.symbols]
+        assert s.counts.dtype == np.int64 and s.counts.tolist() == tally
+        assert s.observations == tuple(str(o) for o in labels)
+        assert np.array_equal(s.empirical.probs, np.array(tally) / len(labels))
+
+    def test_unknown_label_among_many_is_named(self):
+        with pytest.raises(UnknownLabelError, match="'zz'"):
+            empirical(["a", "b"] * 1000 + ["zz", "a"], AB)
+
+    def test_counts_past_one_chunk(self):
+        s = empirical(["a"] * (TALLY_CHUNK + 3) + ["b"] * 5 + ["a"], AB)
+        assert s.counts.tolist() == [TALLY_CHUNK + 4, 5] and s.n == TALLY_CHUNK + 9
+        with pytest.raises(UnknownLabelError, match="'zz'"):
+            empirical(["a", "b"] * TALLY_CHUNK + ["zz", "a"], AB)
 
     def test_from_counts_round_trip(self):
         s = SampleData.from_counts([3, 5], AB)

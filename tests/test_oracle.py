@@ -7,7 +7,8 @@ import pytest
 from divproj.divergences import DivergenceKind, divergence_fixed_p, divergence_rows
 from divproj.errors import DomainError, EmptyFeasibleGrid, InputError, NoAdmissibleTheta
 from divproj.estimators import MATCHED_FAMILY, EstimatorKind, likelihood_rows
-from divproj.families import FamilyKind, FamilySpec, LinearFamilySpec, eval_members_batch
+from divproj import oracle
+from divproj.families import FamilyKind, FamilySpec, LinearFamilySpec, admissible_halfspaces, eval_members_batch
 from divproj.measures import Alphabet, Distribution, SampleData
 from divproj.oracle import (
     BLOCK_ROWS,
@@ -270,6 +271,120 @@ class TestBlocks:
             assert_same_bits(p_best.probs, ref[0])
             assert_same_bits(value, ref[1])
             assert_same_bits(gap, ref[2])
+
+
+class TestScreen:
+    """The reverse oracle scores only the rows that its family's half-spaces
+    leave as candidates; the answer is the unscreened grid's, bit for bit,
+    and no scoring batch has one row unless the grid has one point."""
+
+    @staticmethod
+    def batches(monkeypatch) -> list:
+        """The row count of each later scoring batch of the oracle."""
+        sizes = []
+
+        def counting(spec, thetas):
+            sizes.append(len(thetas))
+            return eval_members_batch(spec, thetas)
+
+        monkeypatch.setattr(oracle, "eval_members_batch", counting)
+        return sizes
+
+    def check(self, monkeypatch, kind, alpha, sample, spec, grid):
+        """The screened answer against the meshgrid reference, or both
+        raising NoAdmissibleTheta; returns the batch sizes."""
+        sizes = self.batches(monkeypatch)
+        try:
+            ref = whole_grid_reverse_min(kind, alpha, sample, spec, grid)
+        except NoAdmissibleTheta:
+            with pytest.raises(NoAdmissibleTheta):
+                grid_reverse_min(kind, alpha, sample, spec, grid)
+        else:
+            sizes.clear()
+            theta, value = grid_reverse_min(kind, alpha, sample, spec, grid)
+            assert_same_bits(theta, ref[0])
+            assert_same_bits(value, ref[1])
+        assert all(1 < size <= BLOCK_ROWS for size in sizes) or grid.point_count() == 1
+        return sizes
+
+    POWER_KINDS = [(EstimatorKind.JONES, 3.0), (EstimatorKind.HELLINGER, 0.5), (EstimatorKind.BASU, 3.0), (EstimatorKind.BASU, 1.5)]
+
+    @pytest.mark.parametrize("k, steps", [(1, [5001]), (2, [181, 157]), (3, [31, 23, 37])])
+    @pytest.mark.parametrize("kind, alpha", POWER_KINDS)
+    def test_screened_oracle_is_the_whole_grid_bit_for_bit(self, monkeypatch, kind, alpha, k, steps):
+        rng = rng_of(83 + k + ord(kind.value[0]))
+        spec = random_family(rng, MATCHED_FAMILY[kind], m=5, k=k, alpha=alpha, f_scale=0.8)
+        sample = sample_from(spec, random_admissible_theta(rng, spec, scale=0.2), 200, rng)
+        grid = ThetaGrid.of([-4.0] * k, [4.0] * k, steps, k=k)
+        sizes = self.check(monkeypatch, MATCHED_DIVERGENCE[kind], alpha, sample, spec, grid)
+        admissible = eval_members_batch(spec, grid.points())[1].sum()
+        # the screen drops rows, and keeps at least the admissible ones
+        assert admissible <= sum(sizes) < grid.point_count()
+
+    @pytest.mark.parametrize("kind, alpha", POWER_KINDS)
+    def test_a_halfspace_blind_to_the_last_parameter(self, monkeypatch, kind, alpha):
+        # the last statistic is 0 on the first symbol and equal on the next
+        # two: the bracket's half-space at the first symbol, and the
+        # non-normalized kind's pair half-spaces, have no last coefficient
+        f = np.array([[0.6, -0.3, 0.5, -0.8], [0.0, 0.7, 0.7, -0.4]])
+        spec = FamilySpec(MATCHED_FAMILY[kind], Distribution(Alphabet.of_size(4), [0.2, 0.3, 0.1, 0.4]), f, alpha=alpha)
+        assert np.any(admissible_halfspaces(spec)[0][:, -1] == 0.0)
+        sample = SampleData.from_counts([50, 70, 30, 100], spec.alphabet)
+        grid = ThetaGrid.of([-5.0, -3.0], [5.0, 3.0], [201, 151], k=2)
+        self.check(monkeypatch, MATCHED_DIVERGENCE[kind], alpha, sample, spec, grid)
+
+    @pytest.mark.parametrize(
+        "lo, hi, steps",
+        [
+            ([2.0, 3.0], [-2.0, -3.0], [97, 89]),  # both axes decreasing
+            ([-3.0, 0.25], [3.0, 0.25], [301, 1]),  # one step on the last axis
+            ([-3.0, 0.4], [3.0, 0.9], [BLOCK_ROWS + 3, 1]),
+            ([0.1, -0.2], [0.1, -0.2], [1, 1]),  # a one-point grid
+        ],
+    )
+    @pytest.mark.parametrize("kind, alpha", POWER_KINDS)
+    def test_decreasing_and_one_step_axes(self, monkeypatch, kind, alpha, lo, hi, steps):
+        rng = rng_of(89)
+        spec = random_family(rng, MATCHED_FAMILY[kind], m=4, k=2, alpha=alpha, f_scale=0.8)
+        sample = sample_from(spec, np.zeros(2), 300, rng)
+        self.check(monkeypatch, MATCHED_DIVERGENCE[kind], alpha, sample, spec, ThetaGrid.of(lo, hi, steps, k=2))
+
+    def test_a_box_without_admissible_rows_scores_nothing(self, monkeypatch):
+        spec = TestBlocks().jones_half_line()  # admissible iff theta > -0.5
+        sample = SampleData.from_counts([3, 7], AB)
+        sizes = self.batches(monkeypatch)
+        with pytest.raises(NoAdmissibleTheta):
+            grid_reverse_min(DivergenceKind.REL_ALPHA_ENTROPY, 2.0, sample, spec, ThetaGrid.of(-40.0, -1.0, 3 * BLOCK_ROWS + 5))
+        assert sizes == []
+
+    @pytest.mark.parametrize(
+        "lo, hi, steps",
+        [
+            (-1e300, 1e300, [7]),
+            ([-1e300, -1.0], [1e300, 1.0], [5, 9]),
+            ([1e300, 1e300], [1.7e308, 1.7e308], [11, 13]),  # every tilt overflows
+            ([-3.0, 1e307], [3.0, 1.7e308], [5, 7]),
+        ],
+    )
+    @pytest.mark.parametrize("kind, alpha", POWER_KINDS)
+    def test_boxes_near_the_float_range(self, monkeypatch, kind, alpha, lo, hi, steps):
+        rng = rng_of(97)
+        k = len(steps)
+        spec = random_family(rng, MATCHED_FAMILY[kind], m=3, k=k, alpha=alpha, f_scale=0.8)
+        sample = sample_from(spec, np.zeros(k), 300, rng)
+        self.check(monkeypatch, MATCHED_DIVERGENCE[kind], alpha, sample, spec, ThetaGrid.of(lo, hi, steps, k=k))
+
+    def test_a_single_candidate_in_a_multi_block_grid_is_scored_with_a_neighbour(self, monkeypatch):
+        # Jones at alpha = 2 on Q uniform: the brackets keep |theta_1| < 1/3
+        # whatever theta_2 is on the single-step last axis, and the leading
+        # axis, 0.7 apart, puts one point there
+        q = Distribution(A3, np.full(3, 1.0 / 3.0))
+        spec = FamilySpec(FamilyKind.ALPHA_POWER_LAW, q, np.array([[1.0, -1.0, 0.0], [0.3, 0.1, -0.6]]), alpha=2.0)
+        sample = SampleData.from_counts([40, 35, 25], A3)
+        half = 0.7 * BLOCK_ROWS
+        grid = ThetaGrid.of([-half, 0.1], [half, 0.1], [2 * BLOCK_ROWS + 1, 1], k=2)
+        sizes = self.check(monkeypatch, DivergenceKind.REL_ALPHA_ENTROPY, 2.0, sample, spec, grid)
+        assert sizes == [2]
 
 
 class TestBlockMemory:

@@ -1,0 +1,173 @@
+"""Reverse-oracle census over the estimate benchmark's ops, and a comparison of two.
+
+A census runs ops 0..N-1 of the estimate workload (``bench/workloads.py``)
+for each seed, exactly as the benchmark builds and checks them, and writes
+one JSON line per op: its kind, alpha and k, the outcome (the benchmark's
+check class, ``incorrect``, or the failure class of an error), every
+route's theta (estimating equation, projection equation, likelihood, and
+the reverse projection for Basu ops), the grid oracle's (theta, value), the
+share of grid rows the oracle evaluated (its candidate fraction) and the
+normalizer's passes over those rows (calls of ``families._bracket``).
+Floats are written by ``repr``, so a theta read back is bit for bit the one
+computed.
+
+``--compare`` reads two census files (say, of a parent tree and of a
+change) and lists every op whose outcome, route theta or grid answer
+differs, the outcome counts per class on each side, and the candidate
+fraction and pass count per (kind, alpha, k) on each side.
+
+Run it with one BLAS thread, once per tree, with that tree's ``src`` first
+on the path::
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/oracle_census.py --seeds 1,2,3 --out new.jsonl
+    python tools/oracle_census.py --compare old.jsonl new.jsonl
+
+``--mix full`` runs the wider mix, whose known failures the outcome counts
+show.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from collections import Counter, defaultdict
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _theta(value):
+    return None if value is None else np.asarray(value, dtype=float).tolist()
+
+
+def census(seeds, ops: int, full: bool, out) -> None:
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+
+    import divproj as dp
+    import divproj.families as families
+    import divproj.oracle as oracle
+
+    stats = {"rows": 0, "passes": 0}
+    members, bracket, grid_min = oracle.eval_members_batch, families._bracket, dp.grid_reverse_min
+
+    def counted_members(spec, thetas):
+        stats["rows"] += len(thetas)
+        return members(spec, thetas)
+
+    def counted_bracket(*args, **kwargs):
+        stats["passes"] += 1
+        return bracket(*args, **kwargs)
+
+    seen = {}
+
+    def recorded_grid(kind, alpha, sample, spec, grid):
+        stats["rows"] = stats["passes"] = 0
+        try:
+            return grid_min(kind, alpha, sample, spec, grid)
+        finally:
+            if grid.point_count() > 1:  # the run's oracle, not the check's one-point call
+                seen.update(points=grid.point_count(), rows=stats["rows"], passes=stats["passes"])
+
+    oracle.eval_members_batch, families._bracket, dp.grid_reverse_min = counted_members, counted_bracket, recorded_grid
+    try:
+        for seed in seeds:
+            workload = workloads.Estimate(seed, "", full=full)
+            for i in range(ops):
+                op = workload.op(i)
+                seen.clear()
+                record = {"seed": seed, "op": i, "kind": op.kind.value, "alpha": op.alpha, "k": op.spec.theta_dim}
+                out_ = None
+                try:
+                    out_ = workload.run(op)
+                    record["outcome"] = workload.check(op, out_)
+                except workloads.Incorrect:
+                    record["outcome"] = "incorrect"
+                except Exception as exc:  # the benchmark classifies every failure of an op
+                    try:
+                        record["outcome"] = workload.classify(op, exc)
+                    except workloads.Incorrect:
+                        record["outcome"] = f"incorrect: {type(exc).__name__}"
+                if out_ is not None:
+                    eq, pr, lik, rev, theta_grid, grid_value = out_
+                    record["routes"] = {
+                        "equation": _theta(eq.theta_star),
+                        "projection": _theta(pr.theta_star),
+                        "likelihood": _theta(lik.theta_star),
+                        "reverse": None if rev is None else _theta(rev.theta),
+                    }
+                    record["grid"] = {"theta": _theta(theta_grid), "value": float(grid_value)}
+                if seen:
+                    record["candidates"] = seen["rows"] / seen["points"]
+                    record["passes"] = seen["passes"]
+                out.write(json.dumps(record) + "\n")
+    finally:
+        oracle.eval_members_batch, families._bracket, dp.grid_reverse_min = members, bracket, grid_min
+
+
+def _load(path: str) -> dict:
+    with open(path) as fh:
+        return {(rec["seed"], rec["op"]): rec for rec in map(json.loads, fh)}
+
+
+def _shape(rec) -> tuple:
+    return rec["kind"], rec["alpha"], rec["k"]
+
+
+def compare(path_a: str, path_b: str) -> int:
+    """Print the differences; returns the number of ops whose answers differ."""
+    a, b = _load(path_a), _load(path_b)
+    shared = sorted(set(a) & set(b))
+    print(f"ops: {len(shared)} in both ({len(a)} in {path_a}, {len(b)} in {path_b})")
+    differ = 0
+    for key in shared:
+        ra, rb = a[key], b[key]
+        what = [name for name in ("outcome", "routes", "grid") if ra.get(name) != rb.get(name)]
+        if what:
+            differ += 1
+            print(f"  seed {key[0]} op {key[1]} ({ra['kind']}, alpha {ra['alpha']:g}, k {ra['k']}): {', '.join(what)} differ")
+            for name in what:
+                print(f"    a {name}: {ra.get(name)}\n    b {name}: {rb.get(name)}")
+    print(f"ops whose outcome, route theta or grid answer differs: {differ}")
+    for label, recs in (("a", a), ("b", b)):
+        counts = Counter(recs[key]["outcome"] for key in shared)
+        print(f"outcomes {label}: " + ", ".join(f"{name} {n}" for name, n in sorted(counts.items())))
+    shapes = defaultdict(lambda: ([], [], [], []))
+    for key in shared:
+        if "passes" in a[key] and "passes" in b[key]:
+            row = shapes[_shape(a[key])]
+            for j, value in enumerate((a[key]["candidates"], b[key]["candidates"], a[key]["passes"], b[key]["passes"])):
+                row[j].append(value)
+    print("kind       alpha  k  candidates a -> b (median)   passes a -> b (min-max)")
+    for (kind, alpha, k), (ca, cb, pa, pb) in sorted(shapes.items()):
+        print(
+            f"{kind:<10} {alpha:<6g} {k}  {np.median(ca):.4f} -> {np.median(cb):.4f}"
+            f"            {min(pa)}-{max(pa)} -> {min(pb)}-{max(pb)}"
+        )
+    return differ
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", default="1,2,3", help="comma-separated benchmark seeds")
+    parser.add_argument("--ops", type=int, default=240, help="ops per seed (the mix repeats every 240)")
+    parser.add_argument("--mix", choices=("gated", "full"), default="gated")
+    parser.add_argument("--out", default="-", help="census file to write (default: stdout)")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two census files")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return 1 if compare(*args.compare) else 0
+    seeds = [int(x) for x in args.seeds.split(",")]
+    if args.out == "-":
+        census(seeds, args.ops, args.mix == "full", sys.stdout)
+    else:
+        with open(args.out, "w") as out:
+            census(seeds, args.ops, args.mix == "full", out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
