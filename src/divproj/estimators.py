@@ -23,16 +23,15 @@ import enum
 
 import numpy as np
 
-from .errors import DomainViolation
 from .families import (
     FamilyKind,
     FamilySpec,
-    _check_theta,
+    _members,
+    _one_row,
     eval_member,
     eval_members_batch,
-    member_with_normalizer,
 )
-from .measures import SampleData, check_alpha, empirical_weights, reduce_rows
+from .measures import SampleData, check_alpha, empirical_weights, reduce_rows, row_dots
 from .solvers import (
     MAX_ITER,
     RESIDUAL_TOL,
@@ -65,27 +64,28 @@ def is_matched_pair(kind: EstimatorKind, spec: FamilySpec) -> bool:
 
 
 def score_matrix(spec: FamilySpec, theta) -> np.ndarray:
-    """Analytic scores s(x; theta) for every symbol, as a (k, m) matrix."""
-    p, z = member_with_normalizer(spec, theta)
-    return _scores(spec, p.probs, z)
+    """Analytic scores s(x; theta) per symbol, (k, m): the one-row case of ``_score_rows``."""
+    return _one_row(spec, lambda thetas: _score_rows(spec, *_members(spec, thetas)), theta)
 
 
-def _scores(spec: FamilySpec, pv: np.ndarray, z: float) -> np.ndarray:
-    f = spec.f
-    a = spec.alpha
+def _score_rows(spec: FamilySpec, pv: np.ndarray, z: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """Scores (n, k, m) of the member rows ``pv`` (n, m) with normalizers
+    ``z`` (n,), as ``_members`` returns them; NaN on the rows not ``ok``
+    (which raise no warning, as a lost member's z = 0 or inf would)."""
+    f, a = spec.f[None, :, :], spec.alpha
+    z, pv = np.where(ok, z, np.nan)[:, None, None], np.where(ok[:, None], pv, np.nan)
     if spec.kind is FamilyKind.EXPONENTIAL:
-        mean_f = f @ pv
-        return f - mean_f[:, None]
+        return f - row_dots(spec.f, pv)[:, :, None]
     if spec.kind is FamilyKind.ALPHA_POWER_LAW:
-        heavy = f @ (pv ** (2.0 - a))
-        return z ** (1.0 - a) * (heavy[:, None] - f * (pv ** (1.0 - a))[None, :])
+        heavy = row_dots(spec.f, pv ** (2.0 - a))
+        return z ** (1.0 - a) * (heavy[:, :, None] - f * (pv ** (1.0 - a))[:, None, :])
     if spec.kind is FamilyKind.ALPHA_EXPONENTIAL:
-        mean_pow = f @ (pv**a)
-        return z ** (a - 1.0) * (f * (pv ** (a - 1.0))[None, :] - mean_pow[:, None])
+        mean_pow = row_dots(spec.f, pv**a)
+        return z ** (a - 1.0) * (f * (pv ** (a - 1.0))[:, None, :] - mean_pow[:, :, None])
     # non-normalized power law: grad Z = -sum P^(2-a) f / sum P^(2-a)
     w = pv ** (2.0 - a)
-    grad_z = -(f @ w) / w.sum()
-    return -(pv ** (1.0 - a))[None, :] * (grad_z[:, None] + f)
+    grad_z = -row_dots(spec.f, w) / reduce_rows(np.add, w)[:, None]
+    return -(pv ** (1.0 - a))[:, None, :] * (grad_z[:, :, None] + f)
 
 
 def score(spec: FamilySpec, theta, x) -> np.ndarray:
@@ -131,34 +131,39 @@ def likelihood(kind: EstimatorKind, spec: FamilySpec, theta, sample: SampleData,
     """Value of the kind's (generalized) likelihood at theta: the one-row
     case of ``_likelihood_at_rows``.  Where the member is not admissible its
     own ``DomainViolation`` or ``NormalizerNotFound`` is raised."""
-    theta = _check_theta(spec, theta)
-    value = _likelihood_at_rows(kind, spec, sample, alpha)(theta[None, :])[0]
-    if np.isnan(value):
-        eval_member(spec, theta)  # raises the member's error
-    return float(value)
+    return float(_one_row(spec, _likelihood_at_rows(kind, spec, sample, alpha), theta))
 
 
 # --- estimating-equation residuals ---------------------------------------------
 
 
 def estimating_residual(kind: EstimatorKind, spec: FamilySpec, theta, sample: SampleData, alpha: float | None = None) -> np.ndarray:
-    """Left minus right of the kind's estimating equation (k-vector)."""
+    """Left minus right of the kind's estimating equation (k-vector), the
+    one-row case of ``_estimating_rows``."""
+    return _one_row(spec, _estimating_rows(kind, spec, sample, alpha), theta)
+
+
+def _estimating_rows(kind: EstimatorKind, spec: FamilySpec, sample: SampleData, alpha: float | None = None):
+    """The estimating residual at parameter rows (n, k), NaN where the member is not admissible."""
     kind = EstimatorKind(kind)
     a = spec.alpha if alpha is None else check_alpha(alpha, allow_one=True)
-    p, z = member_with_normalizer(spec, theta)
-    pv = p.probs
-    s = _scores(spec, pv, z)
     ph = empirical_weights(sample)
-    if kind is EstimatorKind.MLE or a == 1.0:
-        return s @ ph
-    if kind is EstimatorKind.HELLINGER:
-        weights = np.where(ph > 0.0, ph**a * pv ** (1.0 - a), 0.0)
-        return s @ weights
-    if kind is EstimatorKind.BASU:
-        return s @ (ph * pv ** (a - 1.0)) - s @ (pv**a)
-    lhs_w = ph * pv ** (a - 1.0)
-    rhs_w = pv**a
-    return (s @ lhs_w) / lhs_w.sum() - (s @ rhs_w) / rhs_w.sum()
+
+    def residual(thetas):
+        pv, z, ok = _members(spec, thetas)
+        s = _score_rows(spec, pv, z, ok)
+        if kind is EstimatorKind.MLE or a == 1.0:
+            return row_dots(s, np.broadcast_to(ph, pv.shape))
+        if kind is EstimatorKind.HELLINGER:
+            return row_dots(s, np.where(ph > 0.0, ph**a * pv ** (1.0 - a), 0.0))
+        lhs_w, rhs_w = ph * pv ** (a - 1.0), pv**a
+        if kind is EstimatorKind.BASU:
+            return row_dots(s, lhs_w) - row_dots(s, rhs_w)
+        with np.errstate(invalid="ignore"):  # weights all underflowed at a huge alpha: 0/0, NaN
+            lhs = row_dots(s, lhs_w) / reduce_rows(np.add, lhs_w)[:, None]
+            return lhs - row_dots(s, rhs_w) / reduce_rows(np.add, rhs_w)[:, None]
+
+    return residual
 
 
 # --- solvers --------------------------------------------------------------------
@@ -178,13 +183,8 @@ def solve_estimating_equation(
     kind = EstimatorKind(kind)
     note = "" if is_matched_pair(kind, spec) else "unmatched pair, no equivalence guarantee"
 
-    values = _likelihood_at_rows(kind, spec, sample, alpha)
-
-    def residual(theta):
-        return estimating_residual(kind, spec, theta, sample, alpha=alpha)
-
     return solve_residual(
-        residual,
+        _estimating_rows(kind, spec, sample, alpha),
         spec.theta_dim,
         init=init,
         tol=tol,
@@ -192,7 +192,7 @@ def solve_estimating_equation(
         route=Route.ESTIMATING_EQ,
         member_fn=lambda t: eval_member(spec, t),
         note=note,
-        objective=lambda t: values(t[None, :])[0],
+        objective=_likelihood_at_rows(kind, spec, sample, alpha),
     )
 
 
@@ -209,13 +209,16 @@ STENCIL_TOL = 1e-10
 STENCIL_SHRINKS = 9
 _STENCIL = np.array([4.0, 2.0, 1.0, -1.0, -2.0, -4.0])
 _WEIGHTS = np.array([-1.0, 8.0, -8.0, 1.0]) / 12.0  # on L(2h), L(h), L(-h), L(-2h)
-_FINE, _COARSE = [1, 2, 3, 4], [0, 1, 4, 5]  # stencil rows at h = s and h = 2s
+_PAIRS = np.array([[1, 2, 3, 4], [0, 1, 4, 5]])  # stencil rows at h = s and h = 2s
 
 
 def _stencil_gradients(v: np.ndarray, s):
     """Five-point derivatives at steps s and 2s from values ``v`` (..., 6) on
-    the rows c + t s e, t in _STENCIL."""
-    return v[..., _FINE] @ _WEIGHTS / s, v[..., _COARSE] @ _WEIGHTS / (2.0 * s)
+    the rows c + t s e, t in _STENCIL; each summed by ``reduce_rows``, so no
+    row depends on the rows evaluated with it."""
+    terms = v[..., _PAIRS] * _WEIGHTS
+    d = reduce_rows(np.add, terms.reshape(-1, 4)).reshape(terms.shape[:-1])
+    return d[..., 0] / s, d[..., 1] / (2.0 * s)
 
 
 def _gradient_alone(values, theta: np.ndarray, j: int, s: float, best: float, best_gap: float) -> float:
@@ -223,8 +226,8 @@ def _gradient_alone(values, theta: np.ndarray, j: int, s: float, best: float, be
     s/4, s/16, ..., the batch having scored step s: ``best`` is its
     derivative and ``best_gap`` its gap to the step-2s stencil (NaN when a
     row was inadmissible).  The result is the first stencil whose gap is
-    within STENCIL_TOL, else the one of smallest gap, the batch's included,
-    once the gaps stop shrinking; NaN when every stencil meets an
+    within STENCIL_TOL, else, once the gaps stop shrinking, the one of
+    smallest gap, the batch's included; NaN if every stencil meets an
     inadmissible row."""
     unit = np.eye(theta.size)[j]
     if np.isnan(best_gap):
@@ -242,31 +245,32 @@ def _gradient_alone(values, theta: np.ndarray, j: int, s: float, best: float, be
     return best
 
 
-def _gradient(values, theta: np.ndarray) -> np.ndarray:
-    """Gradient of the likelihood ``values`` at theta, from one batch of 6k
-    parameter rows: theta + t s_j e_j, t = 4, 2, 1, -1, -2, -4, for each
-    coordinate j in turn, with s_j = GRADIENT_STEP (1 + |theta_j|).
+def _gradient(values, thetas: np.ndarray) -> np.ndarray:
+    """Gradients (n, k) of the likelihood ``values`` at parameter rows (n, k)
+    from one batch of 6kn rows: theta + t s_j e_j, t = 4, 2, 1, -1, -2, -4,
+    for each row and coordinate j, with s_j = GRADIENT_STEP (1 + |theta_j|).
 
     Coordinate j is the five-point (-L(2s) + 8 L(s) - 8 L(-s) + L(-2s)) / 12s,
-    checked against the same stencil at 2s.  A coordinate that fails its
-    check, or whose stencil meets an inadmissible row, is recomputed alone
-    (``_gradient_alone``), unless theta's own row is inadmissible.  Raises
-    ``DomainViolation`` then, or when a coordinate cannot be formed, so that
-    a solver treats theta as inadmissible.
+    checked against the same stencil at 2s.  A (row, coordinate) that fails
+    its check, or whose stencil meets an inadmissible row, is recomputed
+    alone (``_gradient_alone``).  A row is NaN, inadmissible to a solver,
+    where its own theta is or where a coordinate cannot be formed.
     """
-    k = theta.size
-    s = GRADIENT_STEP * (1.0 + np.abs(theta))
-    rows = theta + (s[:, None, None] * _STENCIL[:, None]) * np.eye(k)[:, None, :]
-    grad, coarse = _stencil_gradients(values(rows.reshape(-1, k)).reshape(k, 6), s)
+    n, k = thetas.shape
+    s = GRADIENT_STEP * (1.0 + np.abs(thetas))
+    rows = thetas[:, None, None, :] + (s[:, :, None, None] * _STENCIL[:, None]) * np.eye(k)[:, None, :]
+    grad, coarse = _stencil_gradients(values(rows.reshape(-1, k)).reshape(n, k, 6), s)
     gaps = np.abs(grad - coarse)
-    if np.isnan(gaps).any() and np.isnan(values(theta[None, :])[0]):
+    redo = ~(gaps <= STENCIL_TOL)
+    if redo.any():
         # no gradient where the likelihood is undefined; the ladder would
         # shrink every stencil STENCIL_SHRINKS times to find that out
-        raise DomainViolation("gradient at an inadmissible point")
-    for j in np.flatnonzero(~(gaps <= STENCIL_TOL)):
-        grad[j] = _gradient_alone(values, theta, j, s[j], grad[j], gaps[j])
-    if np.isnan(grad).any():
-        raise DomainViolation("gradient stencil left the admissible region")
+        unsure = np.flatnonzero(np.isnan(gaps).any(axis=1))
+        outside = unsure[np.isnan(values(thetas[unsure]))] if unsure.size else unsure
+        grad[outside], redo[outside] = np.nan, False
+        for i, j in zip(*np.nonzero(redo)):
+            grad[i, j] = _gradient_alone(values, thetas[i], j, s[i, j], grad[i, j], gaps[i, j])
+        grad[np.isnan(grad).any(axis=1)] = np.nan
     return grad
 
 
@@ -288,18 +292,17 @@ def maximize_likelihood(
     shared with the equation routes: the Jacobian is the driver's central
     differences of the gradient, a trial point is accepted when ||grad||^2
     falls enough or the likelihood rises, and convergence is declared on
-    the gradient's infinity norm.  Each gradient scores its 6k-row stencil
-    with one ``eval_members_batch`` and one ``likelihood_rows`` call, and
-    each likelihood value one row; a row whose member is not admissible
-    counts as outside the domain.  The five-point gradient at step
-    5e-4 (1 + |theta_j|), checked against step 1e-3, errs by about 1e-12,
-    far below the 1e-10 stop rule.
+    the gradient's infinity norm.  A Jacobian's 2k gradients score their
+    12k^2 likelihood rows in one ``eval_members_batch``, a trial point's its
+    6k rows; a row whose member is not admissible is outside the domain.
+    The five-point gradient at step 5e-4 (1 + |theta_j|), checked against
+    step 1e-3, errs by about 1e-12, far below the 1e-10 stop rule.
     """
     kind = EstimatorKind(kind)
     note = "" if is_matched_pair(kind, spec) else "unmatched pair, no equivalence guarantee"
     values = _likelihood_at_rows(kind, spec, sample, alpha)
     return solve_residual(
-        lambda t: _gradient(values, t),
+        lambda thetas: _gradient(values, thetas),
         spec.theta_dim,
         init=init,
         tol=tol,
@@ -307,5 +310,5 @@ def maximize_likelihood(
         route=Route.LIKELIHOOD_MAX,
         member_fn=lambda t: eval_member(spec, t),
         note=note,
-        objective=lambda t: values(t[None, :])[0],
+        objective=values,
     )

@@ -34,10 +34,11 @@ one-row cases, so scalar and batch calls agree on values and admissibility.
 A grid pays powers only on its rows that can be admissible: the power-law
 kinds decide admissibility first (the bracket's sign, and for the
 non-normalized kind whether a normalizer was found), raise the power on
-those rows alone and scatter them back among NaN rows.  Row sums run one
-column at a time (``measures.reduce_rows``), left to right like numpy's
-own, so no sum depends on the rows evaluated with it (the product theta.f
-is BLAS's, which can round a batch and a single row differently).
+those rows alone and scatter them back among NaN rows.  A row's value is
+its one-row call's, bit for bit, in a batch of any size: no kernel forms a
+BLAS product over the rows (which rounds a batch and a single row apart),
+the tilt theta.f sums the statistics in order, and row sums run one column
+at a time (``measures.reduce_rows``), left to right like numpy's own.
 Every member has full support: a member that underflows to an exact 0 on
 some symbol is inadmissible, like one whose bracket is non-positive or
 whose tilt theta.f overflows.
@@ -159,11 +160,18 @@ def _bracket(spec: FamilySpec, tilt: np.ndarray, z=0.0) -> np.ndarray:
 
 
 def _tilt(spec: FamilySpec, thetas: np.ndarray) -> np.ndarray:
-    """theta.f for a theta or each row of ``thetas``, NaN where the product
+    """theta.f for a theta or each row of ``thetas``, NaN where the sum
     overflows: such a theta is inadmissible, and NaN passes through the
-    kernels without a warning."""
+    kernels without a warning.  A symbol at a time, summed over the
+    statistics in order, so no row depends on the rows evaluated with it."""
+    f = spec.f
+    tilt = np.empty((*thetas.shape[:-1], f.shape[1]))
+    term = np.empty(thetas.shape[:-1])  # one temporary, reused by every product
     with np.errstate(over="ignore", invalid="ignore"):
-        tilt = thetas @ spec.f
+        for x in range(f.shape[1]):
+            col = np.multiply(thetas[..., 0], f[0, x], out=tilt[..., x])
+            for j in range(1, len(f)):
+                col += np.multiply(thetas[..., j], f[j, x], out=term)
     tilt[~np.isfinite(tilt)] = np.nan
     return tilt
 
@@ -338,6 +346,16 @@ def member_with_normalizer(spec: FamilySpec, theta) -> tuple[Distribution, float
                 raise DomainViolation("member's mass overflows", symbols=spec.alphabet.symbols)
         raise DomainViolation("member underflows to 0 on some symbols", symbols=_symbols(spec, np.isnan(probs[0])))
     return Distribution(spec.alphabet, probs[0], strict=True), float(z[0])
+
+
+def _one_row(spec: FamilySpec, rows_fn, theta):
+    """The row kernel ``rows_fn`` (NaN on inadmissible rows) at the one
+    parameter theta, raising the member's own error where it is NaN."""
+    theta = _check_theta(spec, theta)
+    value = rows_fn(theta[None, :])[0]
+    if np.isnan(value).any():
+        member_with_normalizer(spec, theta)  # raises the member's error
+    return value
 
 
 def eval_member(spec: FamilySpec, theta) -> Distribution:

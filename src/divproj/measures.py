@@ -173,6 +173,13 @@ def reduce_rows(ufunc, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def row_dots(f: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_x f[j, x] w[i, x] (n, k) for rows ``w`` (n, m) and ``f`` (k, m) or
+    (n, k, m), summed by ``reduce_rows``: unlike a BLAS product over the
+    rows, no row's value depends on the rows evaluated with it."""
+    return reduce_rows(np.add, (f * w[:, None, :]).reshape(-1, w.shape[-1])).reshape(len(w), f.shape[-2])
+
+
 def check_alpha(alpha: float, allow_one: bool = False) -> float:
     alpha = float(alpha)
     if not np.isfinite(alpha) or alpha <= 0.0:

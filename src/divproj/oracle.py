@@ -4,18 +4,19 @@ Simplex grids are generated as integer compositions of a resolution d
 (exact rational membership, reproducible lexicographic order) and converted
 to floats once.  Reverse grids sweep a box of parameters.  Both oracles are
 exhaustive argmins with a deterministic first-lowest tie-break.  Both walk
-their grid in near-equal blocks of at most ``BLOCK_ROWS`` rows, so an
-oracle's memory is set by a block, not by the grid: each block is scored
-whole, and the block minima are reduced in grid order by ``np.argmin``'s own
-rule (first lowest, first NaN), which is the argmin of the whole grid.  A
-grid of at most ``BLOCK_ROWS`` points is one block.
+their grid in blocks of ``BLOCK_ROWS`` rows, the last one holding the rest,
+so an oracle's memory is set by a block, not by the grid: each block is
+scored whole, and the block minima are reduced in grid order by
+``np.argmin``'s own rule (first lowest, first NaN), which is the argmin of
+the whole grid.  Every row kernel scores a row as its one-row call does,
+so how the blocks fall moves no bit of the answer.
 
 A reverse grid first screens its rows by the family's half-spaces
 (``families.admissible_halfspaces``), which every admissible theta meets.
 On each line of the grid's last axis they bound that parameter to an index
 range, widened by one cell and a relative slack, and only the rows in those
 ranges, the candidates, are built and scored, in grid order and in blocks
-of at most ``BLOCK_ROWS`` of them.  Rows are built from line ranges, the
+of ``BLOCK_ROWS`` of them.  Rows are built from line ranges, the
 leading parameters repeated and the last one sliced off its axis, for the
 whole-grid walk of the kinds without half-spaces too.  The row test stays
 the only admissibility decision and a dropped row could not pass it, so
@@ -41,32 +42,17 @@ import numpy as np
 from .divergences import DivergenceKind, check_log_terms, divergence_fixed_p, divergence_rows
 from .errors import EmptyFeasibleGrid, InputError, NoAdmissibleTheta
 from .families import HALFSPACE_SLACK, FamilySpec, LinearFamilySpec, admissible_halfspaces, eval_members_batch
-from .measures import Distribution, SampleData, check_alpha
+from .measures import Distribution, SampleData, check_alpha, row_dots
 
 # The cap bounds an oracle's time (and a simplex grid's integer compositions,
 # which stay whole); a grid of more points is refused before anything is
 # allocated.
 MAX_GRID_POINTS = 10**6
 
-# Rows scored at once.  Blocks are split as np.array_split splits, so a grid
-# past one block never leaves a one-row block: numpy's one-row product takes
-# another path than a many-row one and rounds theta.f differently.  Each
-# block of a Basu alpha = 3 grid runs its own normalizer passes to its
-# slowest row, about 7-12 on the benchmark's grids, so smaller blocks cost
-# time: re-measure before going below 2**14.
+# Rows scored at once.  Each block of a Basu alpha = 3 grid runs its own
+# normalizer passes to its slowest row, about 7-12 on the benchmark's grids,
+# so smaller blocks cost time: re-measure before going below 2**14.
 BLOCK_ROWS = 2**14
-
-
-def _blocks(n: int):
-    """``(start, stop)`` of the near-equal blocks of at most BLOCK_ROWS rows
-    that cover n rows in order, sized as ``np.array_split`` sizes them."""
-    count = -(-n // BLOCK_ROWS)
-    size, extra = divmod(n, max(count, 1))
-    start = 0
-    for i in range(count):
-        stop = start + size + (i < extra)
-        yield start, stop
-        start = stop
 
 
 class _FirstLowest:
@@ -161,11 +147,11 @@ def grid_forward_min(
     counts = grid.counts()
     tol = 0.5 / grid.resolution
     lowest = _FirstLowest()
-    for start, stop in _blocks(len(counts)):
-        points = counts[start:stop] / float(grid.resolution)
+    for start in range(0, len(counts), BLOCK_ROWS):
+        points = counts[start : start + BLOCK_ROWS] / float(grid.resolution)
         gap = np.zeros(len(points))
         if constraint is not None:
-            gap = np.max(np.abs(points @ constraint.f.T - constraint.a[None, :]), axis=1)
+            gap = np.max(np.abs(row_dots(constraint.f, points) - constraint.a[None, :]), axis=1)
             near = gap <= tol
             points, gap = points[near], gap[near]
             if len(points) == 0:
@@ -301,26 +287,20 @@ def _line_spans(grid: ThetaGrid, spec: FamilySpec):
 
 
 def _candidate_blocks(grid: ThetaGrid, spec: FamilySpec):
-    """The grid's rows that can be admissible, in grid order, as near-equal
-    blocks of at most BLOCK_ROWS rows; every row of the grid for a family
-    with no half-spaces.  No block has one row unless the grid has one
-    point: a single candidate is scored with a grid neighbour, which the
-    row test then drops, since numpy's one-row product rounds theta.f
-    differently from a many-row one."""
-    n = grid.point_count()
+    """The grid's rows that can be admissible (every row, for a family with
+    no half-spaces), in grid order, as blocks of BLOCK_ROWS rows."""
     spans = _line_spans(grid, spec)
     if spans is None:
-        for start, stop in _blocks(n):
-            yield grid.rows(start, stop)
+        n = grid.point_count()
+        for start in range(0, n, BLOCK_ROWS):
+            yield grid.rows(start, min(start + BLOCK_ROWS, n))
         return
     lines, starts, stops = spans
     counts = stops - starts
     ends = np.cumsum(counts)
-    if n > 1 and len(ends) and ends[-1] == 1:
-        at = int(lines[0] * grid.steps[-1] + starts[0])
-        yield grid.rows(at, at + 2) if at + 1 < n else grid.rows(at - 1, at + 1)
-        return
-    for start, stop in _blocks(int(ends[-1]) if len(ends) else 0):
+    total = int(ends[-1]) if len(ends) else 0
+    for start in range(0, total, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, total)
         # the lines holding candidates start..stop, cut to them
         first, last = np.searchsorted(ends, [start, stop - 1], side="right")
         cut = slice(first, last + 1)

@@ -39,11 +39,13 @@ from .families import (
     FamilySpec,
     LinearFamilySpec,
     _fit_form,
+    _one_row,
     _rank,
     eval_member,
+    eval_members_batch,
     member_with_normalizer,
 )
-from .measures import Distribution, SampleData, check_alpha, empirical_weights
+from .measures import Distribution, SampleData, check_alpha, empirical_weights, reduce_rows, row_dots
 from .solvers import MAX_ITER, RESIDUAL_TOL, Route, SolveReport, solve_residual
 
 NEWTON_STOP_TOL = 1e-13  # (theta, Z) Newton stops at this max-abs residual
@@ -61,32 +63,39 @@ def projection_residual(
     sample: SampleData,
     alpha: float | None = None,
 ) -> np.ndarray:
-    """Left minus right of the divergence's projection equation (k-vector).
+    """Left minus right of the divergence's projection equation (k-vector),
+    the one-row case of ``_projection_rows``.
 
     KL and the density power divergence share the moment-matching form
     E_theta[f] = fbar; the relative alpha-entropy and Renyi forms carry
     reference-measure corrections.  The Renyi residual is returned in its
     escort form (the tests check it against the plain alpha-power-sum form).
     """
+    return _one_row(spec, _projection_rows(kind, spec, sample, alpha), theta)
+
+
+def _projection_rows(kind: DivergenceKind, spec: FamilySpec, sample: SampleData, alpha: float | None = None):
+    """The projection residual at parameter rows (n, k), NaN where the member is not admissible."""
     kind = DivergenceKind(kind)
     a = spec.alpha if alpha is None else check_alpha(alpha, allow_one=True)
-    p = eval_member(spec, theta)
-    pv = p.probs
-    f = spec.f
-    qv = spec.q.probs
-    ph = empirical_weights(sample)
-    fbar = f @ ph
-    mean_f = f @ pv
-    if kind in (DivergenceKind.KL, DivergenceKind.DENSITY_POWER) or a == 1.0:
-        return mean_f - fbar
-    if kind is DivergenceKind.REL_ALPHA_ENTROPY:
-        qa = qv ** (a - 1.0)
-        return mean_f - (float(pv @ qa) / float(ph @ qa)) * fbar
-    # Renyi: moment matching between the escort (scaled) measures
-    pa, pha = pv**a, ph**a
-    e_escort, ph_escort = pa / pa.sum(), pha / pha.sum()
-    q1a = qv ** (1.0 - a)
-    return f @ e_escort - (float(e_escort @ q1a) / float(ph_escort @ q1a)) * (f @ ph_escort)
+    kind = DivergenceKind.KL if a == 1.0 else kind
+    f, qv, ph = spec.f, spec.q.probs, empirical_weights(sample)
+    if kind is DivergenceKind.RENYI:
+        ph = ph**a / np.sum(ph**a)  # Renyi: moment matching between the escort (scaled) measures
+    power = qv ** (1.0 - a) if kind is DivergenceKind.RENYI else qv ** (a - 1.0)
+    fbar, scale = f @ ph, float(ph @ power)
+
+    def residual(thetas):
+        pv, ok = eval_members_batch(spec, thetas)
+        pv = np.where(ok[:, None], pv, np.nan)
+        if kind in (DivergenceKind.KL, DivergenceKind.DENSITY_POWER):
+            return row_dots(f, pv) - fbar
+        if kind is DivergenceKind.RENYI:
+            pv = pv**a
+            pv /= reduce_rows(np.add, pv)[:, None]  # the escort rows
+        return row_dots(f, pv) - (reduce_rows(np.add, pv * power) / scale)[:, None] * fbar
+
+    return residual
 
 
 def solve_projection_equation(
@@ -100,13 +109,8 @@ def solve_projection_equation(
 ) -> SolveReport:
     """Damped Newton on the projection residual (same contract as the
     estimating-equation solver)."""
-    kind = DivergenceKind(kind)
-
-    def residual(theta):
-        return projection_residual(kind, spec, theta, sample, alpha=alpha)
-
     return solve_residual(
-        residual,
+        _projection_rows(kind, spec, sample, alpha),
         spec.theta_dim,
         init=init,
         tol=tol,

@@ -1,19 +1,19 @@
 """Damped-Newton root solving, the one driver of every theta route.
 
 The estimating, projection and likelihood routes each hand it their own
-residual: the analytic score equation, the moment equation, and the
-likelihood's finite-difference gradient.  One Newton run goes from the
+row residual, the analytic score equation, the moment equation, and the
+likelihood's finite-difference gradient: (n, k) residuals at (n, k)
+parameter rows, NaN on an inadmissible row.  One Newton run goes from the
 caller's start (default theta = 0, where P_theta = Q is admissible); an
-inadmissible start raises ``NoConvergence``.  Jacobians are central finite
-differences, one stencil per coordinate at step 1e-6*(1+|theta_j|), and
-a stencil point outside the admissible region ends the run.  Damping is
-Armijo backtracking on ||residual||^2 with factor 0.5 and at most 30
-halvings.  A residual that is a positive multiple of a likelihood's
-gradient comes with that likelihood as ``objective``, and steps on which
-it rises are accepted too: on the ||r||^2 merit alone, Newton can walk off
-along a ray where the residual flattens.  A residual that raises
-``DomainViolation`` or ``NormalizerNotFound`` marks its point as
-inadmissible.
+inadmissible start raises ``NoConvergence``.  A Jacobian is central
+differences at step 1e-6*(1+|theta_j|), its 2k stencil rows scored in one
+call, and a stencil row outside the admissible region ends the run; a
+trial point is a one-row call.  Damping is Armijo backtracking on
+||residual||^2 with factor 0.5 and at most 30 halvings.  A residual that
+is a positive multiple of a likelihood's gradient comes with that
+likelihood's row form as ``objective``, and steps on which it rises are
+accepted too: on the ||r||^2 merit alone, Newton can walk off along a ray
+where the residual flattens.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainViolation, NoConvergence, NormalizerNotFound
+from .errors import DomainViolation, NoConvergence
 from .measures import Distribution
 
 RESIDUAL_TOL = 1e-10
@@ -56,35 +56,22 @@ class SolveReport:
     note: str = field(default="")
 
 
-def _try_residual(residual_fn, theta):
-    try:
-        return np.atleast_1d(np.asarray(residual_fn(theta), dtype=float))
-    except (DomainViolation, NormalizerNotFound):
-        return None
-
-
-def fd_jacobian(residual_fn, theta, r0):
-    """Central-difference Jacobian at theta, whose residual is ``r0``: one
-    stencil theta +- h*e_j per coordinate, h = FD_STEP*(1+|theta_j|).  The
-    first stencil point outside the admissible region raises
-    ``DomainViolation`` naming its coordinate."""
+def fd_jacobian(residual_rows, theta):
+    """Central-difference Jacobian at theta from one call on its 2k stencil
+    rows theta + h e_j, theta - h e_j for each j, h = FD_STEP*(1+|theta_j|);
+    the first row outside the admissible region raises ``DomainViolation``
+    naming its coordinate."""
     theta = np.asarray(theta, dtype=float)
-    jac = np.empty((r0.size, theta.size))
-    for j in range(theta.size):
-        h = FD_STEP * (1.0 + abs(theta[j]))
-        ends = []
-        for step in (h, -h):
-            point = theta.copy()
-            point[j] += step
-            ends.append(_try_residual(residual_fn, point))
-            if ends[-1] is None:
-                raise DomainViolation(f"Jacobian stencil left the admissible region at coordinate {j}")
-        jac[:, j] = (ends[0] - ends[1]) / (2.0 * h)
-    return jac
+    h = FD_STEP * (1.0 + np.abs(theta))
+    ends = residual_rows(np.stack([theta + np.diag(h), theta - np.diag(h)], axis=1).reshape(-1, theta.size))
+    outside = np.flatnonzero(np.isnan(ends).any(axis=1))
+    if outside.size:
+        raise DomainViolation(f"Jacobian stencil left the admissible region at coordinate {outside[0] // 2}")
+    return ((ends[0::2] - ends[1::2]) / (2.0 * h)[:, None]).T
 
 
 def solve_residual(
-    residual_fn,
+    residual_rows,
     theta_dim: int,
     init=None,
     tol: float = RESIDUAL_TOL,
@@ -94,22 +81,22 @@ def solve_residual(
     note: str = "",
     objective=None,
 ) -> SolveReport:
-    """Drive residual_fn to zero by damped Newton from ``init`` (default 0).
+    """Drive the row residual to zero by damped Newton from ``init`` (default 0).
 
-    ``objective``, when given, is a function whose gradient the residual is
-    a positive multiple of.  A Newton step that does not ascend it becomes
-    the residual scaled to unit infinity norm (the line search only shrinks
-    a step, and ||r|| is tiny where the objective is flat), and a trial
-    point the ||r||^2 test rejects is accepted when the objective rises
-    strictly.  A trial point outside the box |theta_j| <= THETA_CAP counts
-    as inadmissible.  A run that stops short of ``tol`` raises
+    ``objective``, when given, is the row form of a function whose gradient
+    the residual is a positive multiple of.  A Newton step that does not
+    ascend it becomes the residual scaled to unit infinity norm (the line
+    search only shrinks a step, and ||r|| is tiny where the objective is
+    flat), and a trial point the ||r||^2 test rejects is accepted when the
+    objective rises strictly.  A trial point outside the box |theta_j| <=
+    THETA_CAP counts as inadmissible.  A run that stops short of ``tol`` raises
     ``NoConvergence`` naming why: the Jacobian stencil left the admissible
     region, the line search ran out of halvings (against the box, when the
     full step left it), or the iteration cap was hit.
     """
     theta = np.zeros(theta_dim) if init is None else np.asarray(init, dtype=float).copy()
-    r = _try_residual(residual_fn, theta)
-    if r is None:
+    r = residual_rows(theta[None, :])[0]
+    if np.isnan(r).any():
         raise NoConvergence("start is inadmissible", best_theta=theta)
     norm = float(np.max(np.abs(r)))
     trace = [(theta.copy(), norm)]
@@ -120,7 +107,7 @@ def solve_residual(
             iters = it - 1
             break
         try:
-            jac = fd_jacobian(residual_fn, theta, r0=r)
+            jac = fd_jacobian(residual_rows, theta)
         except DomainViolation:
             iters, reason = it - 1, "the Jacobian stencil left the admissible region"
             break
@@ -135,15 +122,15 @@ def solve_residual(
         for _ in range(MAX_HALVINGS + 1):
             cand = theta + t * step
             # a trial point outside the box is inadmissible, so the step halves
-            rc = _try_residual(residual_fn, cand) if np.max(np.abs(cand)) <= THETA_CAP else None
-            if rc is not None:
+            rc = residual_rows(cand[None, :])[0] if np.max(np.abs(cand)) <= THETA_CAP else None
+            if rc is not None and not np.isnan(rc).any():
                 if float(rc @ rc) <= phi * (1.0 - 1e-4 * t):
                     theta, r, value = cand, rc, None
                     break
                 if objective is not None:
                     if value is None:
-                        value = objective(theta)
-                    value_c = objective(cand)
+                        value = objective(theta[None, :])[0]
+                    value_c = objective(cand[None, :])[0]
                     if value_c > value:
                         theta, r, value = cand, rc, value_c
                         break

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from divproj.divergences import density_power
-from divproj import estimators
+from divproj.divergences import DivergenceKind, density_power
+from divproj import estimators, projection, solvers
 from divproj.errors import DomainViolation, NoConvergence, NormalizerNotFound
 from divproj.estimators import (
     EstimatorKind,
@@ -14,8 +16,10 @@ from divproj.estimators import (
     score,
     score_matrix,
     solve_estimating_equation,
+    _estimating_rows,
     _gradient,
     _likelihood_at_rows,
+    _score_rows,
 )
 from divproj.families import (
     FamilyKind,
@@ -23,13 +27,18 @@ from divproj.families import (
     escort_family_map,
     escort_family_spec,
     escort_parameter_map,
+    _members,
     eval_member,
+    eval_members_batch,
+    is_admissible,
     member_with_normalizer,
 )
-from divproj.measures import Alphabet, Distribution, SampleData, empirical
-from divproj.solvers import THETA_CAP, fd_jacobian
+from divproj.measures import ROW_LOOP_MIN, Alphabet, Distribution, SampleData, empirical
+from divproj.projection import _projection_rows, projection_residual, solve_projection_equation
+from divproj.solvers import FD_STEP, THETA_CAP, fd_jacobian, solve_residual
 
 from conftest import (
+    MATCHED_DIVERGENCE,
     random_admissible_theta,
     random_family,
     rng_of,
@@ -248,25 +257,28 @@ class TestSolvers:
 
 
 class TestFdJacobian:
-    """One central stencil per coordinate; the first inadmissible stencil
-    point ends the Jacobian."""
+    """One call on the 2k central stencil rows, +h then -h for each
+    coordinate; the first inadmissible stencil row names its coordinate."""
 
     A = np.array([[1.0, 2.0, 0.5], [-1.0, 0.0, 3.0]])
 
     def counting(self, calls, edge=np.inf):
-        def residual(theta):
-            calls.append(np.array(theta))
-            if theta[1] > edge:
-                raise DomainViolation("outside the region")
-            return self.A @ theta
+        def residual_rows(thetas):
+            calls.append(np.array(thetas))
+            r = thetas @ self.A.T
+            r[thetas[:, 1] > edge] = np.nan  # outside the region
+            return r
 
-        return residual
+        return residual_rows
 
-    def test_two_calls_per_coordinate(self):
+    def test_one_call_on_the_2k_stencil_rows(self):
         calls = []
         theta = np.array([0.1, -0.2, 0.3])
-        jac = fd_jacobian(self.counting(calls), theta, self.A @ theta)
-        assert len(calls) == 2 * theta.size
+        jac = fd_jacobian(self.counting(calls), theta)
+        h = FD_STEP * (1.0 + np.abs(theta))
+        stencil = [theta + sign * h[j] * np.eye(3)[j] for j in range(3) for sign in (1.0, -1.0)]
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.array(stencil))
         assert np.allclose(jac, self.A, atol=1e-8)
 
     def test_inadmissible_plus_point_raises_without_retry(self):
@@ -276,9 +288,143 @@ class TestFdJacobian:
         theta = np.array([0.1, 0.5, 0.3])
         residual = self.counting(calls, edge=0.5 + 1e-6)
         with pytest.raises(DomainViolation, match="coordinate 1"):
-            fd_jacobian(residual, theta, self.A @ theta)
-        # coordinate 0's two points, then coordinate 1's +h point
-        assert len(calls) == 3 and calls[-1][1] > 0.5 + 1e-6
+            fd_jacobian(residual, theta)
+        # the one stencil call, whose row 2 is coordinate 1's +h point
+        assert len(calls) == 1 and calls[0][2, 1] > 0.5 + 1e-6
+
+
+class TestSolverStops:
+    """The driver's two fallbacks, reached through its public interface."""
+
+    # full-mix seed 3, op 5 of the estimate benchmark: Hellinger at alpha =
+    # 0.5 on a sample with an empty symbol, whose optimum lies past the edge
+    # of the admissible region; every route walks up to the edge
+    EDGE_Q = Distribution(Alphabet.of_size(3), [0.1549912562575419, 0.7950087437424582, 0.05])
+    EDGE_F = np.array([[-0.12581369045281757, -0.2993589922893146, 0.4251726827421322]])
+
+    @pytest.mark.parametrize("route", ["equation", "projection", "likelihood"])
+    def test_a_stencil_past_the_edge_stops_the_run(self, route):
+        spec = FamilySpec(FamilyKind.ALPHA_EXPONENTIAL, self.EDGE_Q, self.EDGE_F, alpha=0.5)
+        sample = SampleData.from_counts([3, 27, 0], spec.alphabet)
+        solve = {
+            "equation": lambda: solve_estimating_equation(EstimatorKind.HELLINGER, spec, sample),
+            "projection": lambda: solve_projection_equation(DivergenceKind.RENYI, spec, sample),
+            "likelihood": lambda: maximize_likelihood(EstimatorKind.HELLINGER, spec, sample),
+        }[route]
+        with pytest.raises(NoConvergence, match="the Jacobian stencil left the admissible region") as err:
+            solve()
+        assert is_admissible(spec, err.value.best_theta)
+        assert err.value.best_residual > 1e-10
+
+    def test_a_singular_jacobian_takes_the_least_squares_step(self):
+        # both residuals are theta_0 + theta_1 - 1: the Jacobian's rows are
+        # equal, np.linalg.solve refuses it, and the minimum-norm step from 0
+        # lands on (1/2, 1/2)
+        def residual_rows(thetas):
+            r = thetas.sum(axis=1) - 1.0
+            return np.stack([r, r], axis=1)
+
+        rep = solve_residual(residual_rows, 2)
+        assert rep.iterations == 1
+        assert np.allclose(rep.theta_star, [0.5, 0.5], atol=1e-12)
+
+
+class TestJacobianCalls:
+    """Each route's Jacobian is one call of its row residual on the 2k
+    stencil rows; every other call of the driver is one row, a trial point."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("route", ["equation", "projection", "likelihood"])
+    @pytest.mark.parametrize("kind", list(EstimatorKind), ids=lambda k: k.value)
+    def test_each_jacobian_is_one_kernel_call(self, kind, route, k, monkeypatch):
+        spec, _, sample = matched_instance(kind, seed=31, m=2 + k, k=k)
+        calls, jacobians = [], []
+        solve, jacobian = solvers.solve_residual, solvers.fd_jacobian
+
+        def counted(log, residual_rows):
+            def rows(thetas):
+                log.append(len(thetas))
+                return residual_rows(thetas)
+
+            return rows
+
+        def solve_counted(residual_rows, *args, **kwargs):
+            return solve(counted(calls, residual_rows), *args, **kwargs)
+
+        def jacobian_counted(residual_rows, theta):
+            jacobians.append([])
+            return jacobian(counted(jacobians[-1], residual_rows), theta)
+
+        for module in (estimators, projection):
+            monkeypatch.setattr(module, "solve_residual", solve_counted)
+        monkeypatch.setattr(solvers, "fd_jacobian", jacobian_counted)
+        rep = {
+            "equation": lambda: solve_estimating_equation(kind, spec, sample),
+            "projection": lambda: solve_projection_equation(MATCHED_DIVERGENCE[kind], spec, sample),
+            "likelihood": lambda: maximize_likelihood(kind, spec, sample),
+        }[route]()
+        assert rep.iterations >= 1
+        assert jacobians == [[2 * k]] * rep.iterations
+        assert calls.count(2 * k) == rep.iterations
+        assert all(n in (1, 2 * k) for n in calls)
+
+
+class TestRowKernels:
+    """Every route's row kernel scores a row of a batch as its one-row call
+    does, bit for bit, on any statistics and batches of any size: the
+    member, the scores, the estimating and projection residuals, the
+    likelihood and its stencil gradient.  The public scalars are the
+    one-row cases, and raise the member's own error where a row is NaN."""
+
+    ESTIMATOR = {family: kind for kind, family in MATCHED_FAMILY.items()}
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from(list(FamilyKind)),
+        alpha=st.sampled_from([0.5, 1.5, 3.0]),
+        k=st.integers(1, 3),
+        extra=st.integers(1, 2),
+        n=st.one_of(st.integers(1, 12), st.integers(ROW_LOOP_MIN - 4, 300)),
+        spread=st.sampled_from([0.3, 3.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_batch_rows_are_one_row_calls(self, family, alpha, k, extra, n, spread, seed):
+        rng = rng_of(seed)
+        spec = random_family(rng, family, m=k + 1 + extra, k=k, alpha=alpha, f_scale=0.8)
+        counts = rng.integers(0, 6, size=spec.q.m)
+        counts[0] += 1
+        sample = SampleData.from_counts(counts, spec.alphabet)
+        kind = self.ESTIMATOR[family]
+        thetas = rng.normal(scale=spread, size=(n, k))
+        probs, ok = eval_members_batch(spec, thetas)
+        kernels = {
+            "scores": (lambda rows: _score_rows(spec, *_members(spec, rows)), lambda t: score_matrix(spec, t)),
+            "estimating": (_estimating_rows(kind, spec, sample), lambda t: estimating_residual(kind, spec, t, sample)),
+            "projection": (
+                _projection_rows(MATCHED_DIVERGENCE[kind], spec, sample),
+                lambda t: projection_residual(MATCHED_DIVERGENCE[kind], spec, t, sample),
+            ),
+            "likelihood": (_likelihood_at_rows(kind, spec, sample), lambda t: likelihood(kind, spec, t, sample)),
+        }
+        batches = {name: rows(thetas) for name, (rows, _) in kernels.items()}
+        for i, theta in enumerate(thetas):
+            one, one_ok = eval_members_batch(spec, theta[None, :])
+            assert one_ok[0] == ok[i]
+            assert np.array_equal(probs[i], one[0], equal_nan=True)
+            for name, (_, scalar) in kernels.items():
+                assert np.isnan(batches[name][i]).any() == (not ok[i]), name
+                if ok[i]:
+                    assert np.array_equal(batches[name][i], scalar(theta)), name
+                else:
+                    with pytest.raises((DomainViolation, NormalizerNotFound)):
+                        scalar(theta)
+        # the likelihood route's kernel, on a few rows: its one-row calls
+        # have no public scalar of their own
+        values = kernels["likelihood"][0]
+        head = thetas[:5]
+        grads = _gradient(values, head)
+        for i, theta in enumerate(head):
+            assert np.array_equal(grads[i], _gradient(values, theta[None, :])[0], equal_nan=True)
 
 
 FAMILY_ALPHA = {MATCHED_FAMILY[kind]: alpha for kind, alpha in ALPHA_OF_KIND.items()}
@@ -420,7 +566,7 @@ class TestLikelihoodStencil:
                 analytic = r / np.sum(ph**a * p ** (1.0 - a))
             else:
                 analytic = spec.alpha * r
-            g = _gradient(_likelihood_at_rows(kind, spec, sample), theta)
+            g = _gradient(_likelihood_at_rows(kind, spec, sample), theta[None, :])[0]
             assert np.max(np.abs(g - analytic)) <= 1e-11
 
     @pytest.mark.parametrize(
@@ -440,12 +586,14 @@ class TestLikelihoodStencil:
         monkeypatch.setattr(estimators, "eval_members_batch", counting_batch)
         monkeypatch.setattr(estimators, "likelihood", lambda *a, **kw: scalar.append(a))
         rep = maximize_likelihood(kind, spec, sample)
-        # a gradient's whole 6k-row stencil, one coordinate's shrunk 6-row
-        # stencil, or one row: a likelihood value
-        assert all(n in (6 * k, 6, 1) for n in batches)
-        # each iteration forms the gradient at its 2k Jacobian points and at
-        # one trial point at least
-        assert batches.count(6 * k) >= (2 * k + 1) * rep.iterations
+        # the gradients at a Jacobian's 2k stencil rows (12k^2 rows), a trial
+        # point's gradient (6k rows), one coordinate's shrunk 6-row stencil,
+        # or one row: a likelihood value
+        assert all(n in (12 * k * k, 6 * k, 6, 1) for n in batches)
+        # each iteration forms one Jacobian and the gradient at one trial
+        # point at least
+        assert batches.count(12 * k * k) == rep.iterations
+        assert batches.count(6 * k) >= rep.iterations
         assert scalar == []
 
 

@@ -313,7 +313,7 @@ class TestNormalizerRows:
         spec = FamilySpec(FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW, self.SPEC_Q, self.SPEC_F, alpha=alpha)
         axis = np.linspace(-2.0, 2.0, 41)
         thetas = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-        tilt = thetas @ spec.f
+        tilt = families._tilt(spec, thetas)
         z, found, has_root, lo, hi = _normalizer_rows(spec, tilt)
         assert np.any(found)
         if alpha > 1.0:
@@ -453,19 +453,25 @@ class TestAdmissibleHalfspaces:
 class TestAdmissibleRowsOnly:
     """A grid pays powers only on the rows that can be admissible; each row
     is still its one-row call, bit for bit, NaN placement included.  The
-    statistics and the grid are dyadic, so theta.f is exact: a BLAS product
-    over many rows may round differently from the product of one."""
+    first statistics are dyadic, so theta.f is exact whatever the order of
+    its sum; the second are not, and the tilt sums them in the same order
+    in a batch as in a single row."""
 
     Q = Distribution(Alphabet.of_size(4), [0.15, 0.25, 0.35, 0.25])
-    F = np.array([[0.625, -0.875, 0.375, -0.125], [-0.5, 0.25, 0.75, -0.5]])
+    F = {
+        "dyadic": np.array([[0.625, -0.875, 0.375, -0.125], [-0.5, 0.25, 0.75, -0.5]]),
+        "decimal": np.array([[0.6, -0.9, 0.4, -0.1], [-0.5, 0.2, 0.7, -0.4]]),
+    }
 
-    @pytest.mark.parametrize("alpha", [0.5, 1.5, 3.0])
+    @pytest.mark.parametrize("f", ["dyadic", "decimal"])
     @pytest.mark.parametrize(
-        "kind",
-        [FamilyKind.ALPHA_POWER_LAW, FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW, FamilyKind.ALPHA_EXPONENTIAL],
+        "kind, alpha",
+        [(kind, alpha) for kind in (FamilyKind.ALPHA_POWER_LAW, FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW,
+                                     FamilyKind.ALPHA_EXPONENTIAL) for alpha in (0.5, 1.5, 3.0)]
+        + [(FamilyKind.EXPONENTIAL, 1.0)],
     )
-    def test_batch_rows_are_one_row_calls(self, kind, alpha):
-        spec = FamilySpec(kind, self.Q, self.F, alpha=alpha)
+    def test_batch_rows_are_one_row_calls(self, kind, alpha, f):
+        spec = FamilySpec(kind, self.Q, self.F[f], alpha=alpha)
         # coarse far out, fine near 0, where alpha = 3 brackets stay positive
         axis = np.unique(np.concatenate([np.arange(-24.0, 25.0, 2.0), np.arange(-2.0, 2.25, 0.25),
                                          np.arange(-0.125, 0.13, 1.0 / 64.0)]))
@@ -474,8 +480,9 @@ class TestAdmissibleRowsOnly:
         thetas = np.vstack([thetas, [[1e308, -1e308]]])
         probs, ok = eval_members_batch(spec, thetas)
         assert ok.any() and not ok.all()
-        if kind is not FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW or alpha > 1.0:
-            # below alpha = 1 every finite tilt of that kind has a normalizer
+        if kind is FamilyKind.ALPHA_POWER_LAW or kind is FamilyKind.ALPHA_EXPONENTIAL or alpha > 1.0:
+            # below alpha = 1 every finite tilt of the non-normalized kind has
+            # a normalizer, and the exponential kind loses only the far rows
             assert ok.mean() < 0.6
         for i, theta in enumerate(thetas):
             one, one_ok = eval_members_batch(spec, theta[None, :])

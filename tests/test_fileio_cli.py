@@ -17,7 +17,7 @@ import divproj.cli
 from divproj.cli import main, sample_generator
 from divproj.config import RunConfig, load_config, override
 from divproj.errors import InputError, UnknownLabelError
-from divproj.families import FamilyKind, FamilySpec
+from divproj.families import FamilyKind, FamilySpec, eval_member
 from divproj.fileio import (
     load_distribution,
     load_family,
@@ -184,6 +184,28 @@ class TestCLI:
         report = json.loads(out)
         assert report["value"] == 0.0
         assert report["seed"] == 0
+
+    def test_sample_out_round_trips_in_drawn_order(self, capsys, files):
+        path = os.path.join(files["tmp"], "drawn.json")
+        code, out, _ = self.run(
+            capsys, "--seed", "7", "sample", "--family", files["fam"], "--theta=0.4", "--n", "60", "--out", path
+        )
+        assert code == 0
+        report = json.loads(out)
+        loaded = load_sample(path)
+        assert report["out"] == path and report["n"] == loaded.n == 60
+        assert loaded.counts.tolist() == report["counts"]
+        drawn = sample_generator(load_family(files["fam"]), np.array([0.4]), 60, seed=7)
+        assert loaded.observations == drawn.observations
+
+    def test_text_format_prints_a_list_as_json(self, capsys, files):
+        code, out, _ = self.run(capsys, "--format", "text", "family", "eval", "--spec", files["fam"], "--theta=0.4")
+        assert code == 0
+        p = FamilySpec(FamilyKind.EXPONENTIAL, Distribution(Alphabet(("a", "b")), [0.5, 0.5]), [[0.0, 1.0]])
+        lines = out.splitlines()
+        assert "theta = [0.4]" in lines and "kind = exponential" in lines
+        (probs,) = [json.loads(line[len("p_theta = "):]) for line in lines if line.startswith("p_theta = ")]
+        assert probs == pytest.approx(eval_member(p, [0.4]).probs.tolist(), rel=1e-11)
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     @pytest.mark.parametrize("kind", ["dpd", "rae", "renyi"])

@@ -9,7 +9,7 @@ from divproj.errors import DomainError, EmptyFeasibleGrid, InputError, NoAdmissi
 from divproj.estimators import MATCHED_FAMILY, EstimatorKind, likelihood_rows
 from divproj import oracle
 from divproj.families import FamilyKind, FamilySpec, LinearFamilySpec, admissible_halfspaces, eval_members_batch
-from divproj.measures import Alphabet, Distribution, SampleData
+from divproj.measures import Alphabet, Distribution, SampleData, row_dots
 from divproj.oracle import (
     BLOCK_ROWS,
     MAX_GRID_POINTS,
@@ -133,7 +133,7 @@ def whole_grid_forward_min(kind, alpha, q, constraint, grid):
     points = grid.points()
     gap = np.zeros(len(points))
     if constraint is not None:
-        gap = np.max(np.abs(points @ constraint.f.T - constraint.a[None, :]), axis=1)
+        gap = np.max(np.abs(row_dots(constraint.f, points) - constraint.a[None, :]), axis=1)
         near = gap <= 0.5 / grid.resolution
         points, gap = points[near], gap[near]
     values = divergence_rows(kind, points, q.probs, alpha)
@@ -177,10 +177,9 @@ class TestBlocks:
         assert_same_bits(theta, ref_theta)
         assert_same_bits(value, ref_value)
 
-    def test_a_grid_one_past_a_block_leaves_no_one_row_block(self):
-        # the argmin is the grid's last row, and numpy's one-row product
-        # scores that row differently from a many-row one: a block split
-        # that left it alone would move the value
+    def test_a_grid_one_past_a_block_scores_its_last_row_alone(self):
+        # the argmin is the grid's last row, which the last block holds
+        # alone: its one-row value is the value it gets in a many-row batch
         a4 = Alphabet.of_size(4)
         f = np.array([[0.274, -0.46, -0.918, -0.967], [0.627, 0.826, 0.213, 0.459]])
         spec = FamilySpec(FamilyKind.EXPONENTIAL, Distribution(a4, [0.1, 0.2, 0.3, 0.4]), f)
@@ -188,10 +187,13 @@ class TestBlocks:
         grid = ThetaGrid.of([-1.0, -1.0], [0.7, 1.3], [145, 113], k=2)
         assert grid.point_count() == BLOCK_ROWS + 1
         last = grid.rows(grid.point_count() - 2, grid.point_count())
-        alone = divergence_fixed_p(DivergenceKind.KL, sample.empirical.probs, eval_members_batch(spec, last[1:])[0], 1.0)
+        ph = sample.empirical.probs
+        alone = divergence_fixed_p(DivergenceKind.KL, ph, eval_members_batch(spec, last[1:])[0], 1.0)
+        batch = divergence_fixed_p(DivergenceKind.KL, ph, eval_members_batch(spec, grid.points())[0], 1.0)
         theta, value = grid_reverse_min(DivergenceKind.KL, 1.0, sample, spec, grid)
         assert_same_bits(theta, last[1])
-        assert value != alone[0]
+        assert_same_bits(value, alone[0])
+        assert_same_bits(alone[0], batch[-1])
         assert_same_bits(value, whole_grid_reverse_min(DivergenceKind.KL, 1.0, sample, spec, grid)[1])
 
     def jones_half_line(self):
@@ -204,8 +206,7 @@ class TestBlocks:
         spec = self.jones_half_line()
         sample = SampleData.from_counts([3, 7], AB)
         grid = ThetaGrid.of(-3.0, 1.0, 3 * BLOCK_ROWS + 5)
-        first = -(-grid.point_count() // 4)  # the first block of four
-        assert not eval_members_batch(spec, grid.rows(0, first))[1].any()
+        assert not eval_members_batch(spec, grid.rows(0, BLOCK_ROWS))[1].any()
         got = grid_reverse_min(DivergenceKind.REL_ALPHA_ENTROPY, 2.0, sample, spec, grid)
         ref = whole_grid_reverse_min(DivergenceKind.REL_ALPHA_ENTROPY, 2.0, sample, spec, grid)
         assert_same_bits(got[0], ref[0])
@@ -276,7 +277,7 @@ class TestBlocks:
 class TestScreen:
     """The reverse oracle scores only the rows that its family's half-spaces
     leave as candidates; the answer is the unscreened grid's, bit for bit,
-    and no scoring batch has one row unless the grid has one point."""
+    and no scoring batch is empty or larger than a block."""
 
     @staticmethod
     def batches(monkeypatch) -> list:
@@ -304,7 +305,7 @@ class TestScreen:
             theta, value = grid_reverse_min(kind, alpha, sample, spec, grid)
             assert_same_bits(theta, ref[0])
             assert_same_bits(value, ref[1])
-        assert all(1 < size <= BLOCK_ROWS for size in sizes) or grid.point_count() == 1
+        assert all(0 < size <= BLOCK_ROWS for size in sizes)
         return sizes
 
     POWER_KINDS = [(EstimatorKind.JONES, 3.0), (EstimatorKind.HELLINGER, 0.5), (EstimatorKind.BASU, 3.0), (EstimatorKind.BASU, 1.5)]
@@ -374,7 +375,7 @@ class TestScreen:
         sample = sample_from(spec, np.zeros(k), 300, rng)
         self.check(monkeypatch, MATCHED_DIVERGENCE[kind], alpha, sample, spec, ThetaGrid.of(lo, hi, steps, k=k))
 
-    def test_a_single_candidate_in_a_multi_block_grid_is_scored_with_a_neighbour(self, monkeypatch):
+    def test_a_single_candidate_in_a_multi_block_grid_is_scored_alone(self, monkeypatch):
         # Jones at alpha = 2 on Q uniform: the brackets keep |theta_1| < 1/3
         # whatever theta_2 is on the single-step last axis, and the leading
         # axis, 0.7 apart, puts one point there
@@ -384,7 +385,7 @@ class TestScreen:
         half = 0.7 * BLOCK_ROWS
         grid = ThetaGrid.of([-half, 0.1], [half, 0.1], [2 * BLOCK_ROWS + 1, 1], k=2)
         sizes = self.check(monkeypatch, DivergenceKind.REL_ALPHA_ENTROPY, 2.0, sample, spec, grid)
-        assert sizes == [2]
+        assert sizes == [1]
 
 
 class TestBlockMemory:

@@ -12,9 +12,13 @@ Floats are written by ``repr``, so a theta read back is bit for bit the one
 computed.
 
 ``--compare`` reads two census files (say, of a parent tree and of a
-change) and lists every op whose outcome, route theta or grid answer
-differs, the outcome counts per class on each side, and the candidate
-fraction and pass count per (kind, alpha, k) on each side.
+change) and prints, with the op that attains each one:
+
+* the largest |delta theta| of each route, over the ops both sides solved;
+* the largest shift of the grid theta and of the grid value, for each k;
+* every outcome flip, with both sides' outcome, route thetas and grid answer;
+* the outcome counts per class on each side, and the candidate fraction
+  and pass count per (kind, alpha, k) on each side.
 
 Run it with one BLAS thread, once per tree, with that tree's ``src`` first
 on the path::
@@ -117,21 +121,65 @@ def _shape(rec) -> tuple:
     return rec["kind"], rec["alpha"], rec["k"]
 
 
+ROUTES = ("equation", "projection", "likelihood", "reverse")
+
+
+def _shift(x, y) -> float:
+    """max |x - y| of two thetas or values as written (None when unsolved):
+    inf when only one side has it, 0 when neither does."""
+    if x is None or y is None:
+        return 0.0 if x is y else np.inf
+    return float(np.max(np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)), initial=0.0))
+
+
+class _Largest:
+    """The largest shift seen, the op it was seen on, and how many ops moved."""
+
+    def __init__(self):
+        self.value, self.where, self.moved = 0.0, "", 0
+
+    def add(self, shift: float, where: str) -> None:
+        self.moved += shift != 0.0
+        if shift > self.value:
+            self.value, self.where = shift, where
+
+    def __str__(self) -> str:
+        return f"{self.value:.3e} on {self.moved} ops" + (f" (largest at {self.where})" if self.moved else "")
+
+
 def compare(path_a: str, path_b: str) -> int:
     """Print the differences; returns the number of ops whose answers differ."""
     a, b = _load(path_a), _load(path_b)
     shared = sorted(set(a) & set(b))
     print(f"ops: {len(shared)} in both ({len(a)} in {path_a}, {len(b)} in {path_b})")
-    differ = 0
+    routes = {name: _Largest() for name in ROUTES}
+    grid = defaultdict(lambda: (_Largest(), _Largest()))
+    flips, differ = [], 0
     for key in shared:
         ra, rb = a[key], b[key]
-        what = [name for name in ("outcome", "routes", "grid") if ra.get(name) != rb.get(name)]
-        if what:
-            differ += 1
-            print(f"  seed {key[0]} op {key[1]} ({ra['kind']}, alpha {ra['alpha']:g}, k {ra['k']}): {', '.join(what)} differ")
-            for name in what:
-                print(f"    a {name}: {ra.get(name)}\n    b {name}: {rb.get(name)}")
+        where = f"seed {key[0]} op {key[1]} ({ra['kind']}, alpha {ra['alpha']:g}, k {ra['k']})"
+        differ += any(ra.get(name) != rb.get(name) for name in ("outcome", "routes", "grid"))
+        if ra["outcome"] != rb["outcome"]:
+            flips.append((where, ra, rb))
+        if "routes" in ra and "routes" in rb:
+            for name in ROUTES:
+                routes[name].add(_shift(ra["routes"][name], rb["routes"][name]), where)
+        if "grid" in ra and "grid" in rb:
+            theta, value = grid[ra["k"]]
+            theta.add(_shift(ra["grid"]["theta"], rb["grid"]["theta"]), where)
+            value.add(_shift(ra["grid"]["value"], rb["grid"]["value"]), where)
     print(f"ops whose outcome, route theta or grid answer differs: {differ}")
+    print("largest |delta theta| per route, over the ops both sides solved:")
+    for name, largest in routes.items():
+        print(f"  {name:<10} {largest}")
+    print("largest grid shift per k:")
+    for k, (theta, value) in sorted(grid.items()):
+        print(f"  k {k}: theta {theta}\n       value {value}")
+    print(f"outcome flips: {len(flips)}")
+    for where, ra, rb in flips:
+        print(f"  {where}")
+        for label, rec in (("a", ra), ("b", rb)):
+            print(f"    {label}: {rec['outcome']}; routes {rec.get('routes')}; grid {rec.get('grid')}")
     for label, recs in (("a", a), ("b", b)):
         counts = Counter(recs[key]["outcome"] for key in shared)
         print(f"outcomes {label}: " + ", ".join(f"{name} {n}" for name, n in sorted(counts.items())))
