@@ -22,6 +22,7 @@ from .config import RunConfig, load_config, override
 from .divergences import DivergenceKind, divergence
 from .errors import InputError, NumericFailure
 from .estimators import (
+    UNMATCHED_NOTE,
     EstimatorKind,
     is_matched_pair,
     maximize_likelihood,
@@ -207,7 +208,7 @@ def _cmd_estimate(args, cfg):
         "n": sample.n,
     }
     if not is_matched_pair(kind, spec):
-        out["note"] = "unmatched pair, no equivalence guarantee"
+        out["note"] = UNMATCHED_NOTE
     routes = ("eq", "lik") if args.route == "both" else (args.route,)
     reports = {}
     for route in routes:

@@ -23,15 +23,8 @@ import enum
 
 import numpy as np
 
-from .families import (
-    FamilyKind,
-    FamilySpec,
-    _members,
-    _one_row,
-    eval_member,
-    eval_members_batch,
-)
-from .measures import SampleData, check_alpha, empirical_weights, reduce_rows, row_dots
+from .families import FamilyKind, FamilySpec, _at_rows, _one_row, eval_member
+from .measures import SampleData, check_alpha, empirical_weights, reduce_rows, reference_power, row_dots
 from .solvers import (
     MAX_ITER,
     RESIDUAL_TOL,
@@ -56,8 +49,21 @@ MATCHED_FAMILY = {
 }
 
 
+UNMATCHED_NOTE = "unmatched pair, no equivalence guarantee"
+
+
 def is_matched_pair(kind: EstimatorKind, spec: FamilySpec) -> bool:
     return MATCHED_FAMILY[EstimatorKind(kind)] is spec.kind
+
+
+def _estimator_alpha(kind: EstimatorKind, spec: FamilySpec, alpha: float | None) -> float:
+    """The estimator's alpha, the family's by default.  Basu and Jones weigh
+    the symbols by P^(alpha-1), which is Q^(alpha-1) at theta = 0: an alpha
+    at which that power under- or overflows is refused (``DomainError``)."""
+    a = spec.alpha if alpha is None else check_alpha(alpha, allow_one=True)
+    if EstimatorKind(kind) in (EstimatorKind.BASU, EstimatorKind.JONES) and a != 1.0:
+        reference_power(spec.q.probs, a)
+    return a
 
 
 # --- scores -------------------------------------------------------------------
@@ -65,15 +71,14 @@ def is_matched_pair(kind: EstimatorKind, spec: FamilySpec) -> bool:
 
 def score_matrix(spec: FamilySpec, theta) -> np.ndarray:
     """Analytic scores s(x; theta) per symbol, (k, m): the one-row case of ``_score_rows``."""
-    return _one_row(spec, lambda thetas: _score_rows(spec, *_members(spec, thetas)), theta)
+    return _one_row(spec, lambda thetas: _at_rows(spec, thetas, lambda pv, z: _score_rows(spec, pv, z)), theta)
 
 
-def _score_rows(spec: FamilySpec, pv: np.ndarray, z: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """Scores (n, k, m) of the member rows ``pv`` (n, m) with normalizers
-    ``z`` (n,), as ``_members`` returns them; NaN on the rows not ``ok``
-    (which raise no warning, as a lost member's z = 0 or inf would)."""
+def _score_rows(spec: FamilySpec, pv: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Scores (n, k, m) of the admissible member rows ``pv`` (n, m) with
+    normalizers ``z`` (n,), as ``_members`` returns them."""
     f, a = spec.f[None, :, :], spec.alpha
-    z, pv = np.where(ok, z, np.nan)[:, None, None], np.where(ok[:, None], pv, np.nan)
+    z = z[:, None, None]
     if spec.kind is FamilyKind.EXPONENTIAL:
         return f - row_dots(spec.f, pv)[:, :, None]
     if spec.kind is FamilyKind.ALPHA_POWER_LAW:
@@ -117,14 +122,9 @@ def likelihood_rows(kind: EstimatorKind, probs: np.ndarray, ph: np.ndarray, alph
 def _likelihood_at_rows(kind: EstimatorKind, spec: FamilySpec, sample: SampleData, alpha: float | None = None):
     """The kind's likelihood as a function of parameter rows (n, k), NaN on
     the rows whose member is not admissible."""
-    a = spec.alpha if alpha is None else check_alpha(alpha, allow_one=True)
+    a = _estimator_alpha(kind, spec, alpha)
     ph = empirical_weights(sample)
-
-    def values(thetas):
-        probs, ok = eval_members_batch(spec, thetas)
-        return np.where(ok, likelihood_rows(kind, probs, ph, a), np.nan)
-
-    return values
+    return lambda thetas: _at_rows(spec, thetas, lambda probs, z: likelihood_rows(kind, probs, ph, a))
 
 
 def likelihood(kind: EstimatorKind, spec: FamilySpec, theta, sample: SampleData, alpha: float | None = None) -> float:
@@ -146,12 +146,11 @@ def estimating_residual(kind: EstimatorKind, spec: FamilySpec, theta, sample: Sa
 def _estimating_rows(kind: EstimatorKind, spec: FamilySpec, sample: SampleData, alpha: float | None = None):
     """The estimating residual at parameter rows (n, k), NaN where the member is not admissible."""
     kind = EstimatorKind(kind)
-    a = spec.alpha if alpha is None else check_alpha(alpha, allow_one=True)
+    a = _estimator_alpha(kind, spec, alpha)
     ph = empirical_weights(sample)
 
-    def residual(thetas):
-        pv, z, ok = _members(spec, thetas)
-        s = _score_rows(spec, pv, z, ok)
+    def residual(pv, z):
+        s = _score_rows(spec, pv, z)
         if kind is EstimatorKind.MLE or a == 1.0:
             return row_dots(s, np.broadcast_to(ph, pv.shape))
         if kind is EstimatorKind.HELLINGER:
@@ -163,7 +162,7 @@ def _estimating_rows(kind: EstimatorKind, spec: FamilySpec, sample: SampleData, 
             lhs = row_dots(s, lhs_w) / reduce_rows(np.add, lhs_w)[:, None]
             return lhs - row_dots(s, rhs_w) / reduce_rows(np.add, rhs_w)[:, None]
 
-    return residual
+    return lambda thetas: _at_rows(spec, thetas, residual)
 
 
 # --- solvers --------------------------------------------------------------------
@@ -180,9 +179,6 @@ def solve_estimating_equation(
 ) -> SolveReport:
     """Damped Newton on the estimating residual, globalized by the kind's
     likelihood (the residual is a positive multiple of its gradient)."""
-    kind = EstimatorKind(kind)
-    note = "" if is_matched_pair(kind, spec) else "unmatched pair, no equivalence guarantee"
-
     return solve_residual(
         _estimating_rows(kind, spec, sample, alpha),
         spec.theta_dim,
@@ -191,7 +187,7 @@ def solve_estimating_equation(
         max_iter=max_iter,
         route=Route.ESTIMATING_EQ,
         member_fn=lambda t: eval_member(spec, t),
-        note=note,
+        note="" if is_matched_pair(kind, spec) else UNMATCHED_NOTE,
         objective=_likelihood_at_rows(kind, spec, sample, alpha),
     )
 
@@ -293,13 +289,11 @@ def maximize_likelihood(
     differences of the gradient, a trial point is accepted when ||grad||^2
     falls enough or the likelihood rises, and convergence is declared on
     the gradient's infinity norm.  A Jacobian's 2k gradients score their
-    12k^2 likelihood rows in one ``eval_members_batch``, a trial point's its
+    12k^2 likelihood rows in one member batch, a trial point's its
     6k rows; a row whose member is not admissible is outside the domain.
     The five-point gradient at step 5e-4 (1 + |theta_j|), checked against
     step 1e-3, errs by about 1e-12, far below the 1e-10 stop rule.
     """
-    kind = EstimatorKind(kind)
-    note = "" if is_matched_pair(kind, spec) else "unmatched pair, no equivalence guarantee"
     values = _likelihood_at_rows(kind, spec, sample, alpha)
     return solve_residual(
         lambda thetas: _gradient(values, thetas),
@@ -309,6 +303,6 @@ def maximize_likelihood(
         max_iter=max_iter,
         route=Route.LIKELIHOOD_MAX,
         member_fn=lambda t: eval_member(spec, t),
-        note=note,
+        note="" if is_matched_pair(kind, spec) else UNMATCHED_NOTE,
         objective=values,
     )

@@ -31,17 +31,20 @@ screens its rows by them; the row test alone still decides admissibility.
 Members are evaluated by one kernel over rows of parameters (the grid
 oracle's batches); ``member_with_normalizer`` and ``normalizer_root`` are its
 one-row cases, so scalar and batch calls agree on values and admissibility.
-A grid pays powers only on its rows that can be admissible: the power-law
-kinds decide admissibility first (the bracket's sign, and for the
-non-normalized kind whether a normalizer was found), raise the power on
-those rows alone and scatter them back among NaN rows.  A row's value is
-its one-row call's, bit for bit, in a batch of any size: no kernel forms a
-BLAS product over the rows (which rounds a batch and a single row apart),
-the tilt theta.f sums the statistics in order, and row sums run one column
-at a time (``measures.reduce_rows``), left to right like numpy's own.
-Every member has full support: a member that underflows to an exact 0 on
-some symbol is inadmissible, like one whose bracket is non-positive or
-whose tilt theta.f overflows.
+The kernel returns only the admissible rows, with their indices, so a grid
+pays powers only on its rows that can be admissible: the power-law kinds
+decide admissibility first (the bracket's sign, and for the non-normalized
+kind whether a normalizer was found) and raise the power on those rows
+alone.  The reverse oracle and ``factorization_check`` score those rows as
+they come; ``eval_members_batch`` and the row forms of the routes pad the
+others with NaN, in one helper (``_at_rows``).  A row's value is its
+one-row call's, bit for bit, in a batch of any size: no kernel forms a BLAS
+product over the rows (which rounds a batch and a single row apart), the
+tilt theta.f sums the statistics in order, and row sums run one column at a
+time (``measures.reduce_rows``), left to right like numpy's own.  Every
+member has full support: a member that underflows to an exact 0 on some
+symbol is inadmissible, like one whose bracket is non-positive or whose
+tilt theta.f overflows.
 
 The linear family {P : f P = a} solves its linear programs once, at
 construction, and caches the centre, margin and support face they give.
@@ -248,79 +251,79 @@ def _symbols(spec: FamilySpec, mask: np.ndarray) -> tuple[str, ...]:
     return tuple(s for s, hit in zip(spec.alphabet.symbols, mask) if hit)
 
 
-def _members(spec: FamilySpec, thetas: np.ndarray, z=None):
-    """Members at the rows of ``thetas`` (n, k): ``(probs, z, ok)``.
-
-    ``probs`` is (n, m) and ``z`` holds each row's normalizing constant.  A
-    row is not ``ok`` when theta.f overflows, a bracket is non-positive or
-    no normalizer is found (its row is NaN), or when its member underflows
-    to an exact 0 on some symbol (those entries are NaN).  The non-normalized
-    kind solves for its normalizers unless they are given.
-    """
+def _member_rows(spec: FamilySpec, thetas: np.ndarray, z=None):
+    """The kernel of ``_members`` before its last test: ``(rows, w, z)``
+    at the rows of ``thetas`` that pass the power-law kinds' tests (a
+    normalizer found, positive brackets).  ``w`` holds their members, which
+    may still be 0 (an underflow) or NaN (an overflowed tilt, or mass lost
+    to 0 or inf) somewhere."""
     a = spec.alpha
     tilt = _tilt(spec, thetas)
+    rows = np.arange(len(tilt))
     # the (n, m) work arrays are updated in place: oracle grids reach 1e5 rows
     if spec.kind is FamilyKind.EXPONENTIAL:
         w = np.log(spec.q.probs) + tilt
         shift = reduce_rows(np.maximum, w)
         # a spread beyond the float range gives -inf, so the member underflows;
-        # Z = inf is right for a far theta
+        # Z = inf is right for a far theta; an overflowed tilt's row is NaN
         with np.errstate(over="ignore"):
             w -= shift[:, None]
             np.exp(w, out=w)
             total = reduce_rows(np.add, w)
             w /= total[:, None]
-            z = total * np.exp(shift)
-        ok = ~np.isnan(shift)
-        return w, z, _drop_underflow(w, ok)
-    # a grid's inadmissible rows pay for no power: the rows that can be
-    # admissible (found a normalizer, then a positive bracket) are gathered
-    # and scattered back into NaN rows; when every row can be, none moves
-    n, rows = len(tilt), None
+            return rows, w, total * np.exp(shift)
+    # a grid's inadmissible rows pay for no power: only the rows that can be
+    # admissible (found a normalizer, then a positive bracket) are gathered;
+    # when every row can be, none moves
     if spec.kind is FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW and z is None:
         z, found = _normalizer_rows(spec, tilt)[:2]
         if not found.all():
             rows = np.flatnonzero(found)
-    # a bracket, or its power, may overflow to inf: that member's mass
-    # is lost, as it is when the power underflows on every symbol
+            tilt, z = tilt[rows], z[rows]
+    # a bracket, or its power, may overflow to inf: that member's mass is
+    # lost (inf / inf), as it is when the power underflows on every symbol (0 / 0)
     with np.errstate(over="ignore", invalid="ignore"):
-        zcol = 0.0 if z is None else z[:, None]
-        if rows is not None:
-            tilt, zcol = tilt[rows], zcol[rows]
-        w = _bracket(spec, tilt, zcol)
+        w = _bracket(spec, tilt, 0.0 if z is None else z[:, None])
         positive = reduce_rows(np.logical_and, w > 0.0)
         if not positive.all():
-            rows = np.flatnonzero(positive) if rows is None else rows[positive]
-            w = w[positive]
+            rows, w = rows[positive], w[positive]
+            z = None if z is None else z[positive]
         w **= 1.0 / (1.0 - a) if spec.kind is FamilyKind.ALPHA_EXPONENTIAL else 1.0 / (a - 1.0)
         total = reduce_rows(np.add, w)
-    lost = (total == np.inf) | (total == 0.0)
-    if lost.any():
-        w[lost] = np.nan
-    w /= total[:, None]
-    ok = _drop_underflow(w, ~lost)
-    if rows is not None:
-        w, total, ok = _scatter(n, rows, w, np.nan), _scatter(n, rows, total, np.nan), _scatter(n, rows, ok, False)
-    if spec.kind is not FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW:
-        z = total
-    return w, z, ok
+        w /= total[:, None]
+    return rows, w, total if z is None else z
 
 
-def _scatter(n: int, rows: np.ndarray, values: np.ndarray, fill) -> np.ndarray:
-    """An array of n rows holding ``values`` at ``rows`` and ``fill`` elsewhere."""
-    out = np.full((n, *values.shape[1:]), fill, dtype=values.dtype)
+def _members(spec: FamilySpec, thetas: np.ndarray, z=None):
+    """Members at the admissible rows of ``thetas`` (n, k): ``(rows, probs, z)``.
+
+    ``rows`` indexes ``thetas``, ``probs`` (len(rows), m) holds their
+    members and ``z`` their normalizing constants.  A row drops out when
+    theta.f overflows, a bracket is non-positive, no normalizer is found,
+    its mass is lost, or its member underflows to an exact 0 on some
+    symbol.  When every row is admissible nothing is gathered: ``rows`` is
+    every index, ``probs`` the kernel's own array.  The non-normalized kind
+    solves for its normalizers unless they are given.
+    """
+    rows, w, z = _member_rows(spec, thetas, z)
+    positive = w > 0.0  # NaN and 0 fail alike
+    if not positive.all():
+        full = reduce_rows(np.logical_and, positive)
+        rows, w, z = rows[full], w[full], z[full]
+    return rows, w, z
+
+
+def _at_rows(spec: FamilySpec, thetas: np.ndarray, formula) -> np.ndarray:
+    """``formula(probs, z)`` over the admissible rows of ``thetas`` (n, k),
+    each row's members and normalizers, padded to n rows with NaN where the
+    member is not admissible: the row form of every kernel on members."""
+    rows, probs, z = _members(spec, thetas)
+    values = formula(probs, z)
+    if len(rows) == len(thetas):
+        return values
+    out = np.full((len(thetas), *values.shape[1:]), np.nan)
     out[rows] = values
     return out
-
-
-def _drop_underflow(w: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """NaN the entries of the member rows ``w`` that underflowed to an exact
-    0, in place; such a row is not ``ok``."""
-    zero = w == 0.0
-    if zero.any():
-        w[zero] = np.nan
-        ok = ok & ~zero.any(axis=1)
-    return ok
 
 
 def member_with_normalizer(spec: FamilySpec, theta) -> tuple[Distribution, float]:
@@ -329,23 +332,25 @@ def member_with_normalizer(spec: FamilySpec, theta) -> tuple[Distribution, float
     z = None
     if spec.kind is FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW:
         z = np.array([normalizer_root(spec, theta)])
-    probs, z, ok = _members(spec, theta[None, :], z)
-    if not ok[0]:
-        overflow = np.isnan(_tilt(spec, theta))
+    rows, probs, zs = _members(spec, theta[None, :], z)
+    if rows.size:
+        return Distribution(spec.alphabet, probs[0], strict=True), float(zs[0])
+    overflow = np.isnan(_tilt(spec, theta))
+    if overflow.any():
+        raise DomainViolation("theta.f overflows on some symbols", symbols=_symbols(spec, overflow))
+    if spec.kind is not FamilyKind.EXPONENTIAL:
+        bracket = bracket_values(spec, theta, 0.0 if z is None else z[0])
+        overflow = ~np.isfinite(bracket)
         if overflow.any():
-            raise DomainViolation("theta.f overflows on some symbols", symbols=_symbols(spec, overflow))
-        if spec.kind is not FamilyKind.EXPONENTIAL:
-            bracket = bracket_values(spec, theta, z[0])
-            overflow = ~np.isfinite(bracket)
-            if overflow.any():
-                raise DomainViolation("bracket overflows on some symbols", symbols=_symbols(spec, overflow))
-            symbols = _symbols(spec, bracket <= 0.0)
-            if symbols:
-                raise DomainViolation("bracket non-positive on some symbols", symbols=symbols)
-            if z[0] == np.inf:
-                raise DomainViolation("member's mass overflows", symbols=spec.alphabet.symbols)
-        raise DomainViolation("member underflows to 0 on some symbols", symbols=_symbols(spec, np.isnan(probs[0])))
-    return Distribution(spec.alphabet, probs[0], strict=True), float(z[0])
+            raise DomainViolation("bracket overflows on some symbols", symbols=_symbols(spec, overflow))
+        symbols = _symbols(spec, bracket <= 0.0)
+        if symbols:
+            raise DomainViolation("bracket non-positive on some symbols", symbols=symbols)
+    # the member itself: its mass overflowed, or it underflows on some symbols
+    _, w, z = _member_rows(spec, theta[None, :], z)
+    if spec.kind is not FamilyKind.EXPONENTIAL and z[0] == np.inf:
+        raise DomainViolation("member's mass overflows", symbols=spec.alphabet.symbols)
+    raise DomainViolation("member underflows to 0 on some symbols", symbols=_symbols(spec, ~(w[0] > 0.0)))
 
 
 def _one_row(spec: FamilySpec, rows_fn, theta):
@@ -367,14 +372,14 @@ def eval_members_batch(spec: FamilySpec, thetas: np.ndarray):
     """Evaluate many parameters at once: the row form of ``eval_member``.
 
     Returns ``(probs, admissible)`` where ``probs`` is (n, m) and
-    ``admissible`` is the boolean mask; an inadmissible row holds NaN (the
-    whole row, or the entries its member underflowed on).
+    ``admissible`` is the boolean mask; an inadmissible row is NaN across
+    the whole row.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim == 1:
         thetas = thetas[:, None]
-    probs, _, ok = _members(spec, thetas)
-    return probs, ok
+    probs = _at_rows(spec, thetas, lambda probs, z: probs)
+    return probs, ~np.isnan(probs[:, 0])
 
 
 # --- implicit normalizer of the non-normalized kind -------------------------

@@ -189,6 +189,16 @@ def check_alpha(alpha: float, allow_one: bool = False) -> float:
     return alpha
 
 
+def reference_power(q: np.ndarray, alpha: float) -> np.ndarray:
+    """Q^(alpha-1), refused with a ``DomainError`` where an entry under- or
+    overflows (0, subnormal or inf): a bracket or weight built on it would."""
+    with np.errstate(over="ignore"):
+        qa = q ** (alpha - 1.0)
+    if not np.all((qa >= np.finfo(float).tiny) & np.isfinite(qa)):
+        raise DomainError(f"Q^(alpha-1) underflows or overflows at alpha = {alpha}")
+    return qa
+
+
 def escort(p: Distribution, alpha: float) -> Distribution:
     """The scaled measure p^alpha / sum(p^alpha) (escort transform)."""
     alpha = check_alpha(alpha, allow_one=True)

@@ -16,18 +16,20 @@ A reverse grid first screens its rows by the family's half-spaces
 On each line of the grid's last axis they bound that parameter to an index
 range, widened by one cell and a relative slack, and only the rows in those
 ranges, the candidates, are built and scored, in grid order and in blocks
-of ``BLOCK_ROWS`` of them.  Rows are built from line ranges, the
-leading parameters repeated and the last one sliced off its axis, for the
-whole-grid walk of the kinds without half-spaces too.  The row test stays
-the only admissibility decision and a dropped row could not pass it, so
-the answer is the unscreened grid's bit for bit.
+of ``BLOCK_ROWS`` of them.  A family without half-spaces takes every line
+whole, so one walk serves every kind: rows are built from line ranges, the
+leading parameters repeated and the last one sliced off its axis.  The row
+test stays the only admissibility decision and a dropped row could not pass
+it, so the answer is the unscreened grid's bit for bit.
 
 The oracles evaluate no formula of their own: grid rows go through the same
 row kernels as the scalar calls (``divergence_rows`` for the divergences,
-``eval_members_batch`` for family members), so brute force and solvers
-cannot drift apart.  A reverse grid pays for powers only on its admissible
-rows (in a wide box most rows of a power-law family are not), and both
-kernels sum row-wise, one column at a time, bit for bit as numpy would.
+the member kernel ``families._members`` for family members), so brute force
+and solvers cannot drift apart.  The member kernel returns only a block's
+admissible rows, with their indices, and the oracle scores those as they
+come: a reverse grid pays for powers only on its admissible rows (in a wide
+box most rows of a power-law family are not), and both kernels sum
+row-wise, one column at a time, bit for bit as numpy would.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 
 from .divergences import DivergenceKind, check_log_terms, divergence_fixed_p, divergence_rows
 from .errors import EmptyFeasibleGrid, InputError, NoAdmissibleTheta
-from .families import HALFSPACE_SLACK, FamilySpec, LinearFamilySpec, admissible_halfspaces, eval_members_batch
+from .families import HALFSPACE_SLACK, FamilySpec, LinearFamilySpec, _members, admissible_halfspaces
 from .measures import Distribution, SampleData, check_alpha, row_dots
 
 # The cap bounds an oracle's time (and a simplex grid's integer compositions,
@@ -239,9 +241,9 @@ class ThetaGrid:
 
 def _line_spans(grid: ThetaGrid, spec: FamilySpec):
     """``(lines, starts, stops)``: on each line of ``grid`` that can hold an
-    admissible row, the index range of its last axis that can; None when
-    the family has no half-spaces to screen by (or their coefficients
-    overflow).
+    admissible row, the index range of its last axis that can; every line
+    whole when the family has no half-spaces to screen by (or their
+    coefficients overflow).
 
     On a line the leading parameters u are fixed, so each half-space G theta
     < h of ``admissible_halfspaces`` bounds the last one, t, from one side;
@@ -252,16 +254,16 @@ def _line_spans(grid: ThetaGrid, spec: FamilySpec):
     so no (lines, half-spaces) array outgrows a block.
     """
     G, h, scale = admissible_halfspaces(spec)
-    if not len(h) or not (np.isfinite(G).all() and np.isfinite(scale).all()):
-        return None
     axes = grid._axes
     axis, s = axes[-1], len(axes[-1])
+    shape = tuple(len(a) for a in axes[:-1])
+    total = math.prod(shape)
+    if not len(h) or not (np.isfinite(G).all() and np.isfinite(scale).all()):
+        return np.arange(total), np.zeros(total, dtype=np.int64), np.full(total, s, dtype=np.int64)
     rising = axis[0] <= axis[-1]
     ascending = axis if rising else axis[::-1]
     t_max = max(abs(axis[0]), abs(axis[-1]))
     cell = abs(axis[-1] - axis[0]) / max(s - 1, 1)
-    shape = tuple(len(a) for a in axes[:-1])
-    total = math.prod(shape)
     chunk = max(1, BLOCK_ROWS // len(h))
     spans = []
     for first in range(0, total, chunk):
@@ -289,13 +291,7 @@ def _line_spans(grid: ThetaGrid, spec: FamilySpec):
 def _candidate_blocks(grid: ThetaGrid, spec: FamilySpec):
     """The grid's rows that can be admissible (every row, for a family with
     no half-spaces), in grid order, as blocks of BLOCK_ROWS rows."""
-    spans = _line_spans(grid, spec)
-    if spans is None:
-        n = grid.point_count()
-        for start in range(0, n, BLOCK_ROWS):
-            yield grid.rows(start, min(start + BLOCK_ROWS, n))
-        return
-    lines, starts, stops = spans
+    lines, starts, stops = _line_spans(grid, spec)
     counts = stops - starts
     ends = np.cumsum(counts)
     total = int(ends[-1]) if len(ends) else 0
@@ -324,13 +320,12 @@ def grid_reverse_min(
     ph = sample.empirical.probs
     lowest = _FirstLowest()
     for thetas in _candidate_blocks(theta_grid, spec):
-        probs, ok = eval_members_batch(spec, thetas)
-        if not ok.any():
-            continue
-        if not ok.all():
-            thetas, probs = thetas[ok], probs[ok]
-        check_log_terms(kind, alpha, ph, probs)
-        lowest.offer(divergence_fixed_p(kind, ph, probs, alpha), thetas)
+        rows, probs, _ = _members(spec, thetas)
+        if rows.size:
+            check_log_terms(kind, alpha, ph, probs)
+            # a whole block of admissible rows is offered as it is, uncopied
+            picks = thetas if rows.size == len(thetas) else thetas[rows]
+            lowest.offer(divergence_fixed_p(kind, ph, probs, alpha), picks)
     if not lowest:
         raise NoAdmissibleTheta("no admissible parameter in the grid box")
     value, theta_best = lowest.best()

@@ -38,14 +38,14 @@ from .families import (
     FamilyKind,
     FamilySpec,
     LinearFamilySpec,
+    _at_rows,
     _fit_form,
     _one_row,
     _rank,
     eval_member,
-    eval_members_batch,
     member_with_normalizer,
 )
-from .measures import Distribution, SampleData, check_alpha, empirical_weights, reduce_rows, row_dots
+from .measures import Distribution, SampleData, check_alpha, empirical_weights, reduce_rows, reference_power, row_dots
 from .solvers import MAX_ITER, RESIDUAL_TOL, Route, SolveReport, solve_residual
 
 NEWTON_STOP_TOL = 1e-13  # (theta, Z) Newton stops at this max-abs residual
@@ -85,9 +85,7 @@ def _projection_rows(kind: DivergenceKind, spec: FamilySpec, sample: SampleData,
     power = qv ** (1.0 - a) if kind is DivergenceKind.RENYI else qv ** (a - 1.0)
     fbar, scale = f @ ph, float(ph @ power)
 
-    def residual(thetas):
-        pv, ok = eval_members_batch(spec, thetas)
-        pv = np.where(ok[:, None], pv, np.nan)
+    def residual(pv, z):
         if kind in (DivergenceKind.KL, DivergenceKind.DENSITY_POWER):
             return row_dots(f, pv) - fbar
         if kind is DivergenceKind.RENYI:
@@ -95,7 +93,7 @@ def _projection_rows(kind: DivergenceKind, spec: FamilySpec, sample: SampleData,
             pv /= reduce_rows(np.add, pv)[:, None]  # the escort rows
         return row_dots(f, pv) - (reduce_rows(np.add, pv * power) / scale)[:, None] * fbar
 
-    return residual
+    return lambda thetas: _at_rows(spec, thetas, residual)
 
 
 def solve_projection_equation(
@@ -233,11 +231,7 @@ def forward_dpd_projection(
         raise DomainError("linear family and reference measure sizes differ")
     f, a_vec = lin.f, lin.a
     qv = q.probs
-    with np.errstate(over="ignore"):
-        qa = qv ** (alpha - 1.0)
-    if not np.all((qa >= np.finfo(float).tiny) & np.isfinite(qa)):
-        # a zero, subnormal or infinite bracket overflows the dual Newton
-        raise DomainError(f"Q^(alpha-1) underflows or overflows at alpha = {alpha}")
+    qa = reference_power(qv, alpha)  # a zero, subnormal or infinite one overflows the dual Newton
     face = lin.support_mask()  # never empty: a member puts 1/m or more on some symbol
 
     solved = _parametric_solve(qa, f, a_vec, alpha, face)

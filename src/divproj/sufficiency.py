@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import CertificateMismatch, DomainError, EmptySampleError
 from .estimators import MATCHED_FAMILY, EstimatorKind, likelihood_rows
-from .families import FamilyKind, FamilySpec, eval_members_batch, member_with_normalizer
+from .families import FamilyKind, FamilySpec, _members, member_with_normalizer
 from .measures import Distribution, SampleData, check_alpha
 from .oracle import SimplexGrid
 
@@ -143,10 +143,10 @@ def factorization_check(
     grid = np.asarray(theta_grid, dtype=float)
     if grid.ndim == 1:
         grid = grid[:, None]
-    probs, ok = eval_members_batch(spec, grid)
-    if not np.any(ok):
+    rows, probs, _ = _members(spec, grid)
+    if not rows.size:
         raise DomainError("no admissible grid point")
-    grid, probs = grid[ok], probs[ok]
+    grid = grid[rows]
     vals_a = likelihood_rows(kind, probs, sample_a.empirical.probs, spec.alpha)
     vals_b = likelihood_rows(kind, probs, sample_b.empirical.probs, spec.alpha)
     diff = vals_a - vals_b

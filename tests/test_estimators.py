@@ -27,7 +27,7 @@ from divproj.families import (
     escort_family_map,
     escort_family_spec,
     escort_parameter_map,
-    _members,
+    _at_rows,
     eval_member,
     eval_members_batch,
     is_admissible,
@@ -398,7 +398,10 @@ class TestRowKernels:
         thetas = rng.normal(scale=spread, size=(n, k))
         probs, ok = eval_members_batch(spec, thetas)
         kernels = {
-            "scores": (lambda rows: _score_rows(spec, *_members(spec, rows)), lambda t: score_matrix(spec, t)),
+            "scores": (
+                lambda rows: _at_rows(spec, rows, lambda pv, z: _score_rows(spec, pv, z)),
+                lambda t: score_matrix(spec, t),
+            ),
             "estimating": (_estimating_rows(kind, spec, sample), lambda t: estimating_residual(kind, spec, t, sample)),
             "projection": (
                 _projection_rows(MATCHED_DIVERGENCE[kind], spec, sample),
@@ -577,13 +580,13 @@ class TestLikelihoodStencil:
     def test_one_batch_per_iteration_and_no_scalar_likelihood(self, kind, seed, k, monkeypatch):
         spec, _, sample = matched_instance(kind, seed=seed, m=2 + k, k=k)
         batches, scalar = [], []
-        batch = estimators.eval_members_batch
+        batch = estimators._at_rows
 
-        def counting_batch(spec, thetas):
+        def counting_batch(spec, thetas, formula):
             batches.append(len(thetas))
-            return batch(spec, thetas)
+            return batch(spec, thetas, formula)
 
-        monkeypatch.setattr(estimators, "eval_members_batch", counting_batch)
+        monkeypatch.setattr(estimators, "_at_rows", counting_batch)
         monkeypatch.setattr(estimators, "likelihood", lambda *a, **kw: scalar.append(a))
         rep = maximize_likelihood(kind, spec, sample)
         # the gradients at a Jacobian's 2k stencil rows (12k^2 rows), a trial

@@ -177,6 +177,11 @@ class TestMembership:
         perturbed = Distribution(spec.alphabet, shifted / shifted.sum(), strict=True)
         assert membership_residual(spec, perturbed) > 1e-4
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_a_distribution_with_a_zero_is_no_member(self, kind):
+        spec = FamilySpec(kind, Q_UNIFORM2, F_COUNT, alpha=2.0)
+        assert membership_residual(spec, Distribution(AB, [0.0, 1.0], strict=False)) == np.inf
+
     def test_theta_recovery(self, rng):
         for kind in ALL_KINDS:
             spec = random_family(rng, kind, m=4, k=2, alpha=0.5)
@@ -494,6 +499,16 @@ class TestAdmissibleRowsOnly:
                 assert not ok[i]
             else:
                 assert ok[i] and np.array_equal(probs[i], p)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_one_parameter_batch_takes_a_flat_vector(kind):
+    spec = FamilySpec(kind, Q_UNIFORM2, F_COUNT, alpha=2.0)
+    thetas = np.array([0.0, 0.3, 50.0])
+    probs, ok = eval_members_batch(spec, thetas)
+    column, column_ok = eval_members_batch(spec, thetas[:, None])
+    assert np.array_equal(probs, column, equal_nan=True) and np.array_equal(ok, column_ok)
+    assert ok[:2].all()
 
 
 class TestUnderflow:

@@ -397,6 +397,12 @@ class TestCLI:
             # subnormal powers: 0.5^1030 and (1/3)^659
             ["suffstat", "--model", "mpow", "--alpha=1031", "--family", "{pow}", "--sample", "{smp}"],
             ["project", "forward", "--alpha=660", "--q", "{q3}", "--linear", "{lin}"],
+            # the Basu and Jones weights P^(alpha-1), Q^(alpha-1) at theta = 0
+            *(
+                ["estimate", "--kind", kind, f"--alpha={alpha}", "--route", route,
+                 "--family", "{pow}", "--sample", "{smp}"]
+                for kind in ("basu", "jones") for route in ("eq", "lik") for alpha in ("1e308", "1031")
+            ),
         ],
     )
     def test_alpha_whose_powers_vanish_exit_two(self, capsys, files, argv):
@@ -518,6 +524,31 @@ class TestCLI:
         code, out, err = self.run(capsys, "sample", "--family", files["fam"], "--theta", "0.1", *args)
         assert code == 2
         report = json.loads(out)
+        assert report["error"] == "InputError" and message in report["message"]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["oracle", "reverse", "--kind", "kl", "--family", "{fam}", "--sample", "{smp}", "--box=-1:1"], "lo:hi:steps"),
+            (["oracle", "reverse", "--kind", "kl", "--family", "{fam}", "--sample", "{smp}", "--box=-1:1:x"], "lo:hi:steps"),
+            (["suffcheck", "--model", "exp", "--family", "{fam}", "--sample-a", "{smp}", "--sample-b", "{smp_b}",
+              "--grid=-1:1:5:7"], "lo:hi:steps"),
+            (["suffcheck", "--model", "bpow", "--family", "{fam}", "--sample-a", "{smp}", "--sample-b", "{smp_b}",
+              "--grid=-1:1:5"], "--model must match"),
+            (["sample", "--family", "{fam}", "--theta", "0.1", "--n", "5", "--rate", "0.2"], "--outlier"),
+            (["--config", "{tmp}/no-such.cfg", "divergence", "--kind", "kl", "--p", "{p}", "--q", "{q}"], "not found"),
+            (["--config", "{no_equals}", "divergence", "--kind", "kl", "--p", "{p}", "--q", "{q}"], "key=value"),
+            (["--config", "{bad_value}", "divergence", "--kind", "kl", "--p", "{p}", "--q", "{q}"], "bad value"),
+        ],
+    )
+    def test_malformed_arguments_exit_two(self, capsys, files, tmp_path, argv, message):
+        for name, text in (("no_equals", "rng_seed 4\n"), ("bad_value", "max_iterations = many\n")):
+            files[name] = str(tmp_path / f"{name}.cfg")
+            (tmp_path / f"{name}.cfg").write_text(text)
+        code, out, err = self.run(capsys, *(a.format(**files) for a in argv))
+        assert code == 2
+        report = json.loads(out, parse_constant=_refuse_constant)
         assert report["error"] == "InputError" and message in report["message"]
         assert "Traceback" not in err
 

@@ -74,6 +74,10 @@ class TestDistribution:
         d = Distribution(AB, np.array([0.0, 1.0]), strict=False)
         assert not d.is_strictly_positive()
 
+    def test_indexed_by_symbol(self):
+        d = Distribution(AB, np.array([0.25, 0.75]))
+        assert d[AB.symbols[1]] == 0.75
+
     def test_immutable(self):
         d = Distribution(AB, np.array([0.5, 0.5]))
         with pytest.raises(ValueError):

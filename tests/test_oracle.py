@@ -283,12 +283,13 @@ class TestScreen:
     def batches(monkeypatch) -> list:
         """The row count of each later scoring batch of the oracle."""
         sizes = []
+        members = oracle._members
 
         def counting(spec, thetas):
             sizes.append(len(thetas))
-            return eval_members_batch(spec, thetas)
+            return members(spec, thetas)
 
-        monkeypatch.setattr(oracle, "eval_members_batch", counting)
+        monkeypatch.setattr(oracle, "_members", counting)
         return sizes
 
     def check(self, monkeypatch, kind, alpha, sample, spec, grid):

@@ -168,6 +168,16 @@ class TestEqualStatisticSearch:
         with pytest.raises(TypeError):
             equal_statistic_pairs(FamilyKind.EXPONENTIAL, q, f, 1.0, n=4, require_distinct_counts=False)
 
+    def test_stops_at_max_pairs(self):
+        q = Distribution(A3, [0.3, 0.4, 0.3])
+        f = np.array([[0.0, 1.0, 2.0]])
+        every = equal_statistic_pairs(FamilyKind.EXPONENTIAL, q, f, 1.0, n=6, max_pairs=100)
+        capped = equal_statistic_pairs(FamilyKind.EXPONENTIAL, q, f, 1.0, n=6, max_pairs=3)
+        assert len(every) > 3
+        assert [(a.counts.tolist(), b.counts.tolist()) for a, b in capped] == [
+            (a.counts.tolist(), b.counts.tolist()) for a, b in every[:3]
+        ]
+
     def test_finds_escort_ties_for_uniform_reference(self):
         q = Distribution(A3, np.full(3, 1 / 3))
         pairs = equal_statistic_pairs(

@@ -56,7 +56,7 @@ def census(seeds, ops: int, full: bool, out) -> None:
     import divproj.oracle as oracle
 
     stats = {"rows": 0, "passes": 0}
-    members, bracket, grid_min = oracle.eval_members_batch, families._bracket, dp.grid_reverse_min
+    members, bracket, grid_min = oracle._members, families._bracket, dp.grid_reverse_min
 
     def counted_members(spec, thetas):
         stats["rows"] += len(thetas)
@@ -76,7 +76,7 @@ def census(seeds, ops: int, full: bool, out) -> None:
             if grid.point_count() > 1:  # the run's oracle, not the check's one-point call
                 seen.update(points=grid.point_count(), rows=stats["rows"], passes=stats["passes"])
 
-    oracle.eval_members_batch, families._bracket, dp.grid_reverse_min = counted_members, counted_bracket, recorded_grid
+    oracle._members, families._bracket, dp.grid_reverse_min = counted_members, counted_bracket, recorded_grid
     try:
         for seed in seeds:
             workload = workloads.Estimate(seed, "", full=full)
@@ -109,7 +109,7 @@ def census(seeds, ops: int, full: bool, out) -> None:
                     record["passes"] = seen["passes"]
                 out.write(json.dumps(record) + "\n")
     finally:
-        oracle.eval_members_batch, families._bracket, dp.grid_reverse_min = members, bracket, grid_min
+        oracle._members, families._bracket, dp.grid_reverse_min = members, bracket, grid_min
 
 
 def _load(path: str) -> dict:
