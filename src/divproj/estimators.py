@@ -58,11 +58,13 @@ def is_matched_pair(kind: EstimatorKind, spec: FamilySpec) -> bool:
 
 def _estimator_alpha(kind: EstimatorKind, spec: FamilySpec, alpha: float | None) -> float:
     """The estimator's alpha, the family's by default.  Basu and Jones weigh
-    the symbols by P^(alpha-1), which is Q^(alpha-1) at theta = 0: an alpha
-    at which that power under- or overflows is refused (``DomainError``)."""
+    the symbols by P^(alpha-1), Hellinger by P^(1-alpha), which is Q's power
+    at theta = 0: an alpha at which that power under- or overflows is
+    refused (``DomainError``)."""
+    kind = EstimatorKind(kind)
     a = spec.alpha if alpha is None else check_alpha(alpha, allow_one=True)
-    if EstimatorKind(kind) in (EstimatorKind.BASU, EstimatorKind.JONES) and a != 1.0:
-        reference_power(spec.q.probs, a)
+    if kind is not EstimatorKind.MLE and a != 1.0:
+        reference_power(spec.q.probs, 1.0 - a if kind is EstimatorKind.HELLINGER else a - 1.0)
     return a
 
 
@@ -195,67 +197,44 @@ def solve_estimating_equation(
 # The likelihood route's finite differences.  The gradient is the five-point
 # stencil at step s = GRADIENT_STEP (1 + |theta_j|); it is trusted when it
 # agrees within STENCIL_TOL with the stencil at 2s (its truncation error is
-# 1/15 of that gap), and otherwise recomputed with s divided by 4, at most
-# STENCIL_SHRINKS times, until it does or the gap stops shrinking (rounding
-# then dominates); 5e-4 / 4^9 stays below the 1.6e-8 that the central
-# differences this replaced shrank to.  A stencil that meets an inadmissible
-# row is shrunk the same way.
+# 1/15 of that gap).  The (row, coordinate) pairs that disagree, or whose
+# stencil meets an inadmissible row, divide s by 4 together, in one batch
+# per shrink, at most STENCIL_SHRINKS times, each until it agrees or its gap
+# stops shrinking (rounding then dominates); 5e-4 / 4^9 stays below the
+# 1.6e-8 that the central differences this replaced shrank to.
 GRADIENT_STEP = 5e-4
 STENCIL_TOL = 1e-10
 STENCIL_SHRINKS = 9
 _STENCIL = np.array([4.0, 2.0, 1.0, -1.0, -2.0, -4.0])
 _WEIGHTS = np.array([-1.0, 8.0, -8.0, 1.0]) / 12.0  # on L(2h), L(h), L(-h), L(-2h)
-_PAIRS = np.array([[1, 2, 3, 4], [0, 1, 4, 5]])  # stencil rows at h = s and h = 2s
+_PAIRS = np.array([[1, 2, 3, 4], [0, 1, 4, 5]])  # stencil rows at steps h and 2h
 
 
-def _stencil_gradients(v: np.ndarray, s):
-    """Five-point derivatives at steps s and 2s from values ``v`` (..., 6) on
-    the rows c + t s e, t in _STENCIL; each summed by ``reduce_rows``, so no
-    row depends on the rows evaluated with it."""
+def _stencil(values, base: np.ndarray, h: np.ndarray, unit: np.ndarray):
+    """Five-point derivatives of ``values`` at ``base`` along ``unit``, steps
+    h and 2h, the three broadcast (base and unit over a last parameter axis):
+    the rows base + t h unit, t in _STENCIL, in one call, each derivative
+    summed by ``reduce_rows``, so none depends on those formed with it."""
+    rows = base[..., None, :] + (h[..., None, None] * _STENCIL[:, None]) * unit[..., None, :]
+    v = values(rows.reshape(-1, rows.shape[-1])).reshape(rows.shape[:-1])
     terms = v[..., _PAIRS] * _WEIGHTS
     d = reduce_rows(np.add, terms.reshape(-1, 4)).reshape(terms.shape[:-1])
-    return d[..., 0] / s, d[..., 1] / (2.0 * s)
-
-
-def _gradient_alone(values, theta: np.ndarray, j: int, s: float, best: float, best_gap: float) -> float:
-    """Coordinate j of the gradient at theta from its own stencils at steps
-    s/4, s/16, ..., the batch having scored step s: ``best`` is its
-    derivative and ``best_gap`` its gap to the step-2s stencil (NaN when a
-    row was inadmissible).  The result is the first stencil whose gap is
-    within STENCIL_TOL, else, once the gaps stop shrinking, the one of
-    smallest gap, the batch's included; NaN if every stencil meets an
-    inadmissible row."""
-    unit = np.eye(theta.size)[j]
-    if np.isnan(best_gap):
-        best, best_gap = np.nan, np.inf
-    for _ in range(STENCIL_SHRINKS):
-        s *= 0.25
-        fine, coarse = _stencil_gradients(values(theta + (s * _STENCIL)[:, None] * unit), s)
-        gap = abs(fine - coarse)
-        if gap <= STENCIL_TOL:
-            return float(fine)
-        if gap < best_gap:
-            best, best_gap = float(fine), gap
-        elif not np.isnan(gap):
-            break  # rounding outgrows truncation
-    return best
+    return d[..., 0] / h, d[..., 1] / (2.0 * h)
 
 
 def _gradient(values, thetas: np.ndarray) -> np.ndarray:
-    """Gradients (n, k) of the likelihood ``values`` at parameter rows (n, k)
-    from one batch of 6kn rows: theta + t s_j e_j, t = 4, 2, 1, -1, -2, -4,
-    for each row and coordinate j, with s_j = GRADIENT_STEP (1 + |theta_j|).
+    """Gradients (n, k) of the likelihood ``values`` at parameter rows (n, k).
 
-    Coordinate j is the five-point (-L(2s) + 8 L(s) - 8 L(-s) + L(-2s)) / 12s,
-    checked against the same stencil at 2s.  A (row, coordinate) that fails
-    its check, or whose stencil meets an inadmissible row, is recomputed
-    alone (``_gradient_alone``).  A row is NaN, inadmissible to a solver,
-    where its own theta is or where a coordinate cannot be formed.
+    Coordinate j of row i is the five-point (-L(2s) + 8 L(s) - 8 L(-s) +
+    L(-2s)) / 12s along e_j, s = GRADIENT_STEP (1 + |theta_ij|): one
+    ``_stencil`` batch of 6kn rows, then one of 6 rows per open pair per
+    shrink, each pair keeping its stencil of smallest gap.  A row is NaN,
+    inadmissible to a solver, where its own theta is or where a coordinate
+    cannot be formed.
     """
-    n, k = thetas.shape
+    unit = np.eye(thetas.shape[1])
     s = GRADIENT_STEP * (1.0 + np.abs(thetas))
-    rows = thetas[:, None, None, :] + (s[:, :, None, None] * _STENCIL[:, None]) * np.eye(k)[:, None, :]
-    grad, coarse = _stencil_gradients(values(rows.reshape(-1, k)).reshape(n, k, 6), s)
+    grad, coarse = _stencil(values, thetas[:, None, :], s, unit)
     gaps = np.abs(grad - coarse)
     redo = ~(gaps <= STENCIL_TOL)
     if redo.any():
@@ -263,9 +242,21 @@ def _gradient(values, thetas: np.ndarray) -> np.ndarray:
         # shrink every stencil STENCIL_SHRINKS times to find that out
         unsure = np.flatnonzero(np.isnan(gaps).any(axis=1))
         outside = unsure[np.isnan(values(thetas[unsure]))] if unsure.size else unsure
-        grad[outside], redo[outside] = np.nan, False
-        for i, j in zip(*np.nonzero(redo)):
-            grad[i, j] = _gradient_alone(values, thetas[i], j, s[i, j], grad[i, j], gaps[i, j])
+        redo[outside] = False
+        grad[np.isnan(gaps)], gaps[np.isnan(gaps)] = np.nan, np.inf  # no stencil to keep yet
+        i, j = np.nonzero(redo)
+        h = s[i, j]
+        for _ in range(STENCIL_SHRINKS):
+            if not i.size:
+                break
+            h = 0.25 * h
+            fine, coarse = _stencil(values, thetas[i], h, unit[j])
+            gap = np.abs(fine - coarse)
+            better = gap < gaps[i, j]
+            grad[i[better], j[better]], gaps[i[better], j[better]] = fine[better], gap[better]
+            # a pair stays open while it disagrees and its gap shrinks or is undefined
+            stay = ~(gap <= STENCIL_TOL) & (better | np.isnan(gap))
+            i, j, h = i[stay], j[stay], h[stay]
         grad[np.isnan(grad).any(axis=1)] = np.nan
     return grad
 
@@ -292,7 +283,9 @@ def maximize_likelihood(
     12k^2 likelihood rows in one member batch, a trial point's its
     6k rows; a row whose member is not admissible is outside the domain.
     The five-point gradient at step 5e-4 (1 + |theta_j|), checked against
-    step 1e-3, errs by about 1e-12, far below the 1e-10 stop rule.
+    step 1e-3, errs by about 1e-12, far below the 1e-10 stop rule; the
+    pairs (row, coordinate) that fail the check shrink their steps in one
+    batch of 6 rows per pair per shrink.
     """
     values = _likelihood_at_rows(kind, spec, sample, alpha)
     return solve_residual(

@@ -189,13 +189,14 @@ def check_alpha(alpha: float, allow_one: bool = False) -> float:
     return alpha
 
 
-def reference_power(q: np.ndarray, alpha: float) -> np.ndarray:
-    """Q^(alpha-1), refused with a ``DomainError`` where an entry under- or
-    overflows (0, subnormal or inf): a bracket or weight built on it would."""
+def reference_power(q: np.ndarray, power: float) -> np.ndarray:
+    """Q^power (power alpha - 1 or 1 - alpha), refused with a ``DomainError``
+    where an entry under- or overflows (0, subnormal or inf): a bracket or
+    weight built on it would."""
     with np.errstate(over="ignore"):
-        qa = q ** (alpha - 1.0)
+        qa = q**power
     if not np.all((qa >= np.finfo(float).tiny) & np.isfinite(qa)):
-        raise DomainError(f"Q^(alpha-1) underflows or overflows at alpha = {alpha}")
+        raise DomainError(f"Q^({power!r}) underflows or overflows at this alpha")
     return qa
 
 

@@ -220,20 +220,15 @@ class ThetaGrid:
         out[:, -1] = self._axes[-1][np.arange(total) + shift]
         return out
 
-    def rows(self, start: int, stop: int) -> np.ndarray:
-        """Points ``start..stop`` of the grid in mesh order (the first
-        parameter varies slowest), so blocks of rows concatenate to
-        ``points()`` bit for bit."""
+    def _whole_lines(self):
+        """``(lines, starts, stops)`` of every line, whole, for ``_line_rows``."""
         s = int(self.steps[-1])
-        if stop <= start:
-            return np.empty((0, len(self.steps)))
-        lines = np.arange(start // s, (stop - 1) // s + 1)
-        starts, stops = np.zeros(len(lines), dtype=np.int64), np.full(len(lines), s, dtype=np.int64)
-        starts[0], stops[-1] = start - lines[0] * s, stop - lines[-1] * s
-        return self._line_rows(lines, starts, stops)
+        lines = self.point_count() // s
+        return np.arange(lines), np.zeros(lines, dtype=np.int64), np.full(lines, s, dtype=np.int64)
 
     def points(self) -> np.ndarray:
-        return self.rows(0, self.point_count())
+        """Every point of the grid in mesh order (the first parameter varies slowest)."""
+        return self._line_rows(*self._whole_lines())
 
     def cell_width(self) -> np.ndarray:
         return (self.hi - self.lo) / np.maximum(1, self.steps - 1)
@@ -259,7 +254,7 @@ def _line_spans(grid: ThetaGrid, spec: FamilySpec):
     shape = tuple(len(a) for a in axes[:-1])
     total = math.prod(shape)
     if not len(h) or not (np.isfinite(G).all() and np.isfinite(scale).all()):
-        return np.arange(total), np.zeros(total, dtype=np.int64), np.full(total, s, dtype=np.int64)
+        return grid._whole_lines()
     rising = axis[0] <= axis[-1]
     ascending = axis if rising else axis[::-1]
     t_max = max(abs(axis[0]), abs(axis[-1]))

@@ -34,6 +34,7 @@ import numpy as np
 
 from .divergences import DivergenceKind, density_power
 from .errors import DomainError, NoConvergence
+from .estimators import UNMATCHED_NOTE, EstimatorKind, _estimator_alpha, is_matched_pair
 from .families import (
     FamilyKind,
     FamilySpec,
@@ -51,6 +52,11 @@ from .solvers import MAX_ITER, RESIDUAL_TOL, Route, SolveReport, solve_residual
 NEWTON_STOP_TOL = 1e-13  # (theta, Z) Newton stops at this max-abs residual
 NEWTON_ACCEPT_TOL = 1e-10  # ... and accepts a stalled iterate within this one
 CLAMP_TOL = 1e-10  # largest bracket a clamped face symbol may keep
+
+MATCHED_ESTIMATOR = {  # the estimator whose estimating equation a projection equation matches
+    DivergenceKind.KL: EstimatorKind.MLE, DivergenceKind.RENYI: EstimatorKind.HELLINGER,
+    DivergenceKind.DENSITY_POWER: EstimatorKind.BASU, DivergenceKind.REL_ALPHA_ENTROPY: EstimatorKind.JONES,
+}
 
 
 # --- projection-equation residuals -------------------------------------------
@@ -75,9 +81,10 @@ def projection_residual(
 
 
 def _projection_rows(kind: DivergenceKind, spec: FamilySpec, sample: SampleData, alpha: float | None = None):
-    """The projection residual at parameter rows (n, k), NaN where the member is not admissible."""
+    """The projection residual at parameter rows (n, k), NaN where the member
+    is not admissible; alpha is refused where the matched estimator's is."""
     kind = DivergenceKind(kind)
-    a = spec.alpha if alpha is None else check_alpha(alpha, allow_one=True)
+    a = _estimator_alpha(MATCHED_ESTIMATOR[kind], spec, alpha)
     kind = DivergenceKind.KL if a == 1.0 else kind
     f, qv, ph = spec.f, spec.q.probs, empirical_weights(sample)
     if kind is DivergenceKind.RENYI:
@@ -115,6 +122,7 @@ def solve_projection_equation(
         max_iter=max_iter,
         route=Route.PROJECTION_EQ,
         member_fn=lambda t: eval_member(spec, t),
+        note="" if is_matched_pair(MATCHED_ESTIMATOR[DivergenceKind(kind)], spec) else UNMATCHED_NOTE,
     )
 
 
@@ -231,7 +239,7 @@ def forward_dpd_projection(
         raise DomainError("linear family and reference measure sizes differ")
     f, a_vec = lin.f, lin.a
     qv = q.probs
-    qa = reference_power(qv, alpha)  # a zero, subnormal or infinite one overflows the dual Newton
+    qa = reference_power(qv, alpha - 1.0)  # a zero, subnormal or infinite one overflows the dual Newton
     face = lin.support_mask()  # never empty: a member puts 1/m or more on some symbol
 
     solved = _parametric_solve(qa, f, a_vec, alpha, face)

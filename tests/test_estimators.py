@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from divproj.divergences import DivergenceKind, density_power
 from divproj import estimators, projection, solvers
-from divproj.errors import DomainViolation, NoConvergence, NormalizerNotFound
+from divproj.errors import DomainError, DomainViolation, NoConvergence, NormalizerNotFound
 from divproj.estimators import (
     EstimatorKind,
     MATCHED_FAMILY,
@@ -254,6 +254,27 @@ class TestSolvers:
         rep = solve_estimating_equation(EstimatorKind.BASU, BERNOULLI, SAMPLE_7, alpha=2.0)
         assert rep.note == "unmatched pair, no equivalence guarantee"
         assert not is_matched_pair(EstimatorKind.BASU, BERNOULLI)
+        # the projection route labels its pair as the matched estimator's
+        # routes do: the density power divergence's equation is Basu's
+        assert solve_projection_equation(DivergenceKind.DENSITY_POWER, BERNOULLI, SAMPLE_7, alpha=2.0).note == rep.note
+        assert solve_projection_equation(DivergenceKind.KL, BERNOULLI, SAMPLE_7).note == ""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [1e308, 1031.0])  # 0.2^1030 is subnormal, 0.2^-1030 overflows
+    @pytest.mark.parametrize("kind", [DivergenceKind.RENYI, DivergenceKind.REL_ALPHA_ENTROPY], ids=lambda k: k.value)
+    def test_every_route_refuses_an_alpha_whose_powers_vanish(self, kind, alpha):
+        # Renyi's projection equation is Hellinger's estimating equation,
+        # the relative alpha-entropy's Jones's
+        spec = FamilySpec(
+            FamilyKind.ALPHA_POWER_LAW, Distribution(Alphabet.of_size(3), [0.2, 0.3, 0.5]), [[0.0, 1.0, 2.0]], alpha=2.0
+        )
+        sample = SampleData.from_counts([1, 2, 3], spec.alphabet)
+        estimator = {DivergenceKind.RENYI: EstimatorKind.HELLINGER, DivergenceKind.REL_ALPHA_ENTROPY: EstimatorKind.JONES}[kind]
+        for solver in (solve_estimating_equation, maximize_likelihood):
+            with pytest.raises(DomainError, match="underflows or overflows"):
+                solver(estimator, spec, sample, alpha=alpha)
+        with pytest.raises(DomainError, match="underflows or overflows"):
+            solve_projection_equation(kind, spec, sample, alpha=alpha)
 
 
 class TestFdJacobian:
@@ -590,14 +611,35 @@ class TestLikelihoodStencil:
         monkeypatch.setattr(estimators, "likelihood", lambda *a, **kw: scalar.append(a))
         rep = maximize_likelihood(kind, spec, sample)
         # the gradients at a Jacobian's 2k stencil rows (12k^2 rows), a trial
-        # point's gradient (6k rows), one coordinate's shrunk 6-row stencil,
-        # or one row: a likelihood value
-        assert all(n in (12 * k * k, 6 * k, 6, 1) for n in batches)
+        # point's gradient (6k rows), a shrink's 6 rows per open (row,
+        # coordinate) pair, or one row: a likelihood value
+        assert all(n == 1 or (n % 6 == 0 and n <= 12 * k * k) for n in batches)
         # each iteration forms one Jacobian and the gradient at one trial
         # point at least
         assert batches.count(12 * k * k) == rep.iterations
         assert batches.count(6 * k) >= rep.iterations
         assert scalar == []
+
+    def test_one_shrink_batch_holds_every_open_pair(self):
+        # admissible iff theta > -0.5 (the bracket at 'b' is 0.5 + theta):
+        # both rows lie within 4s of that edge, so both stencils meet an
+        # inadmissible row and must shrink
+        spec = FamilySpec(
+            FamilyKind.ALPHA_POWER_LAW, Distribution(AB, [0.5, 0.5]), np.array([[0.0, -1.0]]), alpha=2.0
+        )
+        values, calls = _likelihood_at_rows(EstimatorKind.JONES, spec, SAMPLE_7), []
+
+        def counting(thetas):
+            calls.append(len(thetas))
+            return values(thetas)
+
+        thetas = np.array([[-0.5 + 1e-4], [-0.5 + 2e-4]])
+        grads = _gradient(counting, thetas)
+        # the first stencils (6 rows a pair), their centres, the first shrink
+        assert calls[:3] == [12, 2, 12]
+        for theta, g in zip(thetas, grads):
+            analytic = spec.alpha * estimating_residual(EstimatorKind.JONES, spec, theta, SAMPLE_7)
+            assert g == pytest.approx(analytic, rel=1e-8)
 
 
 class TestUnderflowIsNumeric:

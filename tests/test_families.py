@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divproj.errors import (
+    DomainError,
     DomainViolation,
     InfeasibleError,
+    InputError,
     InvalidDistribution,
     NormalizerNotFound,
 )
@@ -559,3 +561,31 @@ class TestPowerOverflow:
         probs, ok = eval_members_batch(spec, np.array([[0.0], [theta]]))
         assert ok.tolist() == [True, False]
         assert np.all(probs[0] > 0.0) and np.isnan(probs[1]).all()
+
+
+POWER_AB = FamilySpec(FamilyKind.ALPHA_POWER_LAW, Q_UNIFORM2, F_COUNT, alpha=2.0)
+EXP_3 = FamilySpec(FamilyKind.EXPONENTIAL, Distribution(Alphabet.of_size(3), np.full(3, 1.0 / 3.0)), [[0.0, 1.0, 2.0]])
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: FamilySpec(FamilyKind.EXPONENTIAL, Q_UNIFORM2, [[0.0, 1.0, 2.0]]), InvalidDistribution, id="statistic_width"),
+        pytest.param(lambda: FamilySpec(FamilyKind.EXPONENTIAL, Q_UNIFORM2, [[0.0, np.inf]]), InvalidDistribution, id="infinite_statistic"),
+        pytest.param(lambda: families.bracket_values(EXP_3, [0.1]), DomainError, id="exponential_bracket"),
+        pytest.param(lambda: normalizer_root(POWER_AB, [0.1]), DomainError, id="normalizer_of_a_normalized_kind"),
+        pytest.param(lambda: escort_family_spec(POWER_AB), DomainError, id="escort_of_a_power_law"),
+        # P(b)^2 != P(a) P(c): no log-linear member
+        pytest.param(lambda: theta_of_member(EXP_3, Distribution(EXP_3.alphabet, [0.5, 0.1, 0.4])), DomainError, id="not_a_member"),
+        pytest.param(lambda: LinearFamilySpec([[0.0, 1.0]], [0.5, 0.5]), InvalidDistribution, id="constraint_and_target_sizes"),
+    ],
+)
+def test_bad_arguments_raise_input_errors(call, error):
+    assert issubclass(error, InputError)
+    with pytest.raises(error):
+        call()
+
+
+def test_a_flat_statistic_is_one_row():
+    assert FamilySpec(FamilyKind.EXPONENTIAL, Q_UNIFORM2, [0.0, 1.0]).f.shape == (1, 2)
+    assert LinearFamilySpec([0.0, 1.0, 2.0], [1.2]).f.shape == (1, 3)

@@ -16,7 +16,7 @@ import divproj.cli
 
 from divproj.cli import main, sample_generator
 from divproj.config import RunConfig, load_config, override
-from divproj.errors import InputError, UnknownLabelError
+from divproj.errors import CertificateMismatch, InputError, UnknownLabelError
 from divproj.families import FamilyKind, FamilySpec, eval_member
 from divproj.fileio import (
     load_distribution,
@@ -397,11 +397,12 @@ class TestCLI:
             # subnormal powers: 0.5^1030 and (1/3)^659
             ["suffstat", "--model", "mpow", "--alpha=1031", "--family", "{pow}", "--sample", "{smp}"],
             ["project", "forward", "--alpha=660", "--q", "{q3}", "--linear", "{lin}"],
-            # the Basu and Jones weights P^(alpha-1), Q^(alpha-1) at theta = 0
+            # the Basu and Jones weights P^(alpha-1), Q^(alpha-1) at theta = 0,
+            # and the Hellinger weights P^(1-alpha): 0.5^-1030 overflows
             *(
                 ["estimate", "--kind", kind, f"--alpha={alpha}", "--route", route,
                  "--family", "{pow}", "--sample", "{smp}"]
-                for kind in ("basu", "jones") for route in ("eq", "lik") for alpha in ("1e308", "1031")
+                for kind in ("basu", "jones", "hellinger") for route in ("eq", "lik") for alpha in ("1e308", "1031")
             ),
         ],
     )
@@ -540,17 +541,45 @@ class TestCLI:
             (["--config", "{tmp}/no-such.cfg", "divergence", "--kind", "kl", "--p", "{p}", "--q", "{q}"], "not found"),
             (["--config", "{no_equals}", "divergence", "--kind", "kl", "--p", "{p}", "--q", "{q}"], "key=value"),
             (["--config", "{bad_value}", "divergence", "--kind", "kl", "--p", "{p}", "--q", "{q}"], "bad value"),
+            (["estimate", "--kind", "mle", "--family", "{bad_json}", "--sample", "{smp}"], "invalid JSON"),
+            (["estimate", "--kind", "mle", "--family", "{array}", "--sample", "{smp}"], "expected a JSON object"),
+            (["estimate", "--kind", "mle", "--family", "{unknown_kind}", "--sample", "{smp}"], "unknown family kind"),
+            (["estimate", "--kind", "jones", "--family", "{alpha_list}", "--sample", "{smp}"], "must be one number"),
+            (["estimate", "--kind", "mle", "--family", "{fam}", "--sample", "{tmp}/no-such.csv"], "not found"),
         ],
     )
     def test_malformed_arguments_exit_two(self, capsys, files, tmp_path, argv, message):
-        for name, text in (("no_equals", "rng_seed 4\n"), ("bad_value", "max_iterations = many\n")):
-            files[name] = str(tmp_path / f"{name}.cfg")
-            (tmp_path / f"{name}.cfg").write_text(text)
+        family = {"kind": "alpha_power_law", "alpha": 2, "q": [0.5, 0.5], "f": [[-0.5, 0.5]], "alphabet": ["a", "b"]}
+        malformed = {
+            "no_equals.cfg": "rng_seed 4\n",
+            "bad_value.cfg": "max_iterations = many\n",
+            "bad_json.json": "{",
+            "array.json": "[1, 2]",
+            "unknown_kind.json": json.dumps({**family, "kind": "gaussian"}),
+            "alpha_list.json": json.dumps({**family, "alpha": [2, 3]}),
+        }
+        for name, text in malformed.items():
+            (tmp_path / name).write_text(text)
+            files[name.split(".")[0]] = str(tmp_path / name)
         code, out, err = self.run(capsys, *(a.format(**files) for a in argv))
         assert code == 2
         report = json.loads(out, parse_constant=_refuse_constant)
         assert report["error"] == "InputError" and message in report["message"]
         assert "Traceback" not in err
+
+    def test_a_certificate_mismatch_reports_its_values(self, capsys, files, monkeypatch):
+        def mismatch(*args, **kwargs):
+            raise CertificateMismatch("equal-T samples produced a non-constant likelihood difference", values=(0.25, 0.5))
+
+        monkeypatch.setattr(divproj.cli, "factorization_check", mismatch)
+        code, out, _ = self.run(
+            capsys,
+            "suffcheck", "--model", "exp", "--family", files["fam"],
+            "--sample-a", files["smp"], "--sample-b", files["smp_b"], "--grid=-1:1:41",
+        )
+        assert code == 1
+        report = json.loads(out, parse_constant=_refuse_constant)
+        assert report["error"] == "CertificateMismatch" and report["values"] == [0.25, 0.5]
 
     @pytest.mark.parametrize("route", ["eq", "lik"])
     def test_underflowing_start_exit_one(self, capsys, files, route):

@@ -3,14 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divproj.divergences import kl
 from divproj.errors import (
     AllZeroError,
     DomainError,
     EmptySampleError,
+    InputError,
     InvalidDistribution,
     NegativeWeightError,
     UnknownLabelError,
 )
+from divproj.estimators import EstimatorKind, estimating_residual
+from divproj.families import FamilyKind, FamilySpec
 from divproj.measures import (
     ROW_LOOP_MIN,
     Alphabet,
@@ -205,3 +209,43 @@ class TestReduceRows:
             for i in (0, 3, len(x) - 1):
                 assert np.array_equal(rows[i], reduce_rows(ufunc, x[i]), equal_nan=True)
         assert np.array_equal(reduce_rows(np.logical_and, x > 0.0), (x > 0.0).all(axis=1))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: Alphabet(("a",)), InvalidDistribution, id="one_symbol_alphabet"),
+        pytest.param(lambda: AB.index("z"), UnknownLabelError, id="unknown_label"),
+        pytest.param(lambda: Distribution(AB, [[0.5, 0.5]]), InvalidDistribution, id="two_dim_probs"),
+        pytest.param(lambda: Distribution(AB, [np.nan, 1.0]), InvalidDistribution, id="nan_prob"),
+        pytest.param(lambda: Distribution(AB, [0.2, 0.3, 0.5]), InvalidDistribution, id="probs_longer_than_alphabet"),
+        pytest.param(lambda: Distribution(AB, [-0.5, 1.5]), InvalidDistribution, id="negative_prob"),
+        pytest.param(
+            lambda: kl(Distribution(AB, [0.5, 0.5]), Distribution(Alphabet(("x", "y")), [0.5, 0.5])),
+            DomainError,
+            id="alphabets_differ",
+        ),
+        pytest.param(lambda: normalize([[1.0, 2.0]]), InvalidDistribution, id="two_dim_weights"),
+        pytest.param(
+            lambda: FamilySpec(FamilyKind.ALPHA_POWER_LAW, Distribution(AB, [0.5, 0.5]), [[0.0, 1.0]], alpha=1.0),
+            DomainError,
+            id="power_law_at_alpha_one",
+        ),
+        pytest.param(lambda: SampleData.from_counts([1, 2, 3], AB), EmptySampleError, id="counts_longer_than_alphabet"),
+        pytest.param(lambda: SampleData.from_counts([1.5, 2.0], AB), EmptySampleError, id="fractional_counts"),
+        pytest.param(
+            lambda: estimating_residual(
+                EstimatorKind.MLE,
+                FamilySpec(FamilyKind.EXPONENTIAL, Distribution(AB, [0.5, 0.5]), [[0.0, 1.0]]),
+                [0.0],
+                [3, 7],
+            ),
+            DomainError,
+            id="sample_of_counts",
+        ),
+    ],
+)
+def test_bad_arguments_raise_input_errors(call, error):
+    assert issubclass(error, InputError)
+    with pytest.raises(error):
+        call()

@@ -186,7 +186,7 @@ class TestBlocks:
         sample = SampleData.from_counts([674, 271, 16, 39], a4)
         grid = ThetaGrid.of([-1.0, -1.0], [0.7, 1.3], [145, 113], k=2)
         assert grid.point_count() == BLOCK_ROWS + 1
-        last = grid.rows(grid.point_count() - 2, grid.point_count())
+        last = grid.points()[-2:]
         ph = sample.empirical.probs
         alone = divergence_fixed_p(DivergenceKind.KL, ph, eval_members_batch(spec, last[1:])[0], 1.0)
         batch = divergence_fixed_p(DivergenceKind.KL, ph, eval_members_batch(spec, grid.points())[0], 1.0)
@@ -206,7 +206,7 @@ class TestBlocks:
         spec = self.jones_half_line()
         sample = SampleData.from_counts([3, 7], AB)
         grid = ThetaGrid.of(-3.0, 1.0, 3 * BLOCK_ROWS + 5)
-        assert not eval_members_batch(spec, grid.rows(0, BLOCK_ROWS))[1].any()
+        assert not eval_members_batch(spec, grid.points()[:BLOCK_ROWS])[1].any()
         got = grid_reverse_min(DivergenceKind.REL_ALPHA_ENTROPY, 2.0, sample, spec, grid)
         ref = whole_grid_reverse_min(DivergenceKind.REL_ALPHA_ENTROPY, 2.0, sample, spec, grid)
         assert_same_bits(got[0], ref[0])
@@ -220,7 +220,7 @@ class TestBlocks:
         )
         sample = SampleData.from_counts([5, 5], AB)
         grid = ThetaGrid.of(-0.4, 0.4, 2 * BLOCK_ROWS)
-        pair = eval_members_batch(spec, grid.rows(BLOCK_ROWS - 1, BLOCK_ROWS + 1))[0]
+        pair = eval_members_batch(spec, grid.points()[BLOCK_ROWS - 1 : BLOCK_ROWS + 1])[0]
         tied = divergence_fixed_p(DivergenceKind.DENSITY_POWER, sample.empirical.probs, pair, 2.0)
         assert tied[0] == tied[1]
         theta, value = grid_reverse_min(DivergenceKind.DENSITY_POWER, 2.0, sample, spec, grid)
@@ -241,7 +241,7 @@ class TestBlocks:
         steps = 3 * BLOCK_ROWS + 5
         first = -(-steps // 4)
         grid = ThetaGrid.of(0.0, 3.0, steps)
-        head = ThetaGrid.of(0.0, grid.rows(first - 1, first)[0, 0], first)
+        head = ThetaGrid.of(0.0, grid.points()[first - 1, 0], first)
         grid_reverse_min(DivergenceKind.RENYI, 1e308, sample, spec, head)  # the first block is fine
         with pytest.raises(DomainError, match="overflows"):
             grid_reverse_min(DivergenceKind.RENYI, 1e308, sample, spec, grid)
@@ -250,13 +250,10 @@ class TestBlocks:
         "lo, hi, steps",
         [(-1.3, 2.9, [BLOCK_ROWS + 7]), ([-1.0, 0.1], [0.7, 3.3], [301, 301]), ([-2.0, -1.0, 0.0], [1.0, 0.3, 1e-3], [17, 101, 23])],
     )
-    def test_block_rows_are_the_mesh_bit_for_bit(self, lo, hi, steps):
+    def test_points_are_the_mesh_bit_for_bit(self, lo, hi, steps):
         grid = ThetaGrid.of(lo, hi, steps, k=len(steps))
         axes = [np.linspace(a, b, s) for a, b, s in zip(grid.lo, grid.hi, grid.steps)]
         mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-        cuts = [0, 1, 2, 999, BLOCK_ROWS, grid.point_count()]
-        blocks = np.concatenate([grid.rows(a, b) for a, b in zip(cuts, cuts[1:])])
-        assert_same_bits(blocks, mesh)
         assert_same_bits(grid.points(), mesh)
 
     @pytest.mark.parametrize("kind, alpha", [("kl", 1.0), ("renyi", 0.5), ("dpd", 2.0), ("rae", 3.0)])

@@ -656,3 +656,21 @@ class TestMomentMap:
         sample = sample_from(spec, [0.1], 50, rng)
         with pytest.raises(DomainError):
             power_law_moment_map(spec, [0.1], sample)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: forward_dpd_projection(Distribution(A3, [0.0, 0.5, 0.5], strict=False), LIN_HAND, 2.0), id="q_off_support"),
+        pytest.param(lambda: forward_dpd_projection(Distribution(AB, [0.5, 0.5]), LIN_HAND, 2.0), id="sizes_differ"),
+        pytest.param(
+            lambda: power_law_moment_jacobian(
+                FamilySpec(FamilyKind.EXPONENTIAL, Q3_UNIFORM, [[0.0, 1.0, 2.0]]), [0.1], SampleData.from_counts([1, 2, 3], A3)
+            ),
+            id="moment_jacobian_of_an_exponential_family",
+        ),
+    ],
+)
+def test_bad_arguments_raise_domain_errors(call):
+    with pytest.raises(DomainError):
+        call()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from divproj.errors import CertificateMismatch, NumericFailure
+from divproj.errors import CertificateMismatch, DomainError, EmptySampleError, InputError, NumericFailure
 from divproj.estimators import EstimatorKind, likelihood, maximize_likelihood, solve_estimating_equation
 from divproj.families import FamilyKind, FamilySpec
 from divproj.measures import Alphabet, Distribution, SampleData
@@ -184,3 +184,39 @@ class TestEqualStatisticSearch:
             FamilyKind.ALPHA_EXPONENTIAL, q, np.array([[0.0, 1.0, 2.0]]), 2.0, n=4
         )
         assert pairs
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(
+            lambda: sufficient_statistic(
+                FamilyKind.EXPONENTIAL,
+                SampleData(A3, (), np.zeros(3, dtype=np.int64), Distribution(A3, np.full(3, 1.0 / 3.0))),
+                Distribution(A3, np.full(3, 1.0 / 3.0)),
+                [[0.0, 1.0, 2.0]],
+            ),
+            EmptySampleError,
+            id="empty_sample",
+        ),
+        pytest.param(
+            lambda: sufficient_statistic(
+                FamilyKind.EXPONENTIAL,
+                SampleData.from_counts([1, 2, 3], A3),
+                Distribution(A3, [0.0, 0.5, 0.5], strict=False),
+                [[0.0, 1.0, 2.0]],
+            ),
+            DomainError,
+            id="q_off_support",
+        ),
+        pytest.param(
+            lambda: equal_statistic_pairs(FamilyKind.EXPONENTIAL, Distribution(A3, np.full(3, 1.0 / 3.0)), [[0.0, 1.0, 2.0]], 1.0, 61),
+            DomainError,
+            id="search_beyond_sixty",
+        ),
+    ],
+)
+def test_bad_arguments_raise_input_errors(call, error):
+    assert issubclass(error, InputError)
+    with pytest.raises(error):
+        call()

@@ -8,12 +8,14 @@ by a ``sitecustomize`` module on a temporary directory put first on
 (the CLI subprocesses) are traced alike; each writes its lines to that
 directory when it exits.  The executable lines of a file are the line
 numbers of its compiled code objects.  Prints each line that never ran,
-with its source, then the count.  Stdlib only::
+with its source, marking those on ``ALLOWED``, then the counts.  Stdlib
+only::
 
     python tools/line_census.py            # Tier-1, about twice its plain time
     python tools/line_census.py tests/test_oracle.py -k Screen
 
-The suite's own exit status is printed; the census covers whatever ran.
+The census covers whatever ran.  It exits 1 when pytest fails or when a
+line outside ``ALLOWED`` never runs, so on the whole suite it is a check.
 """
 
 from __future__ import annotations
@@ -27,6 +29,26 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "divproj"
+
+# Lines that may never run, keyed by file and stripped source text (line
+# numbers move with every edit), each with the reason no test reaches it.
+ALLOWED = {
+    # the module's __main__ guard: the tests call cli.main() directly
+    ("cli.py", "sys.exit(main())"),
+    # Bland's rule does not cycle; the cap stops only a loop of rounding
+    ("families.py", 'raise NoConvergence("simplex hit its pivot cap")'),
+    # the support face is read off LPs over the family itself, so it holds a member
+    ("families.py", 'raise InfeasibleError("linear family has no member on its support face")'),
+    # 50 draws, each blended 40 times toward the face's max-min point, which is positive on it
+    ("families.py", 'raise InfeasibleError("could not sample an interior member")'),
+    # a single-member face whose member has a zero: the LPs misjudged the face
+    ("projection.py", "return np.zeros(k), 0.0, probs, np.inf"),
+    # a dual Newton start whose brackets are not all positive at alpha < 1
+    ("projection.py", "return xi[:k], float(xi[k]), probs, np.inf"),
+    # an answer whose moments are within 1e-10 leaves the family's 1e-9 only
+    # if Distribution's rescale moves them (ROADMAP item 1)
+    ("projection.py", 'raise NoConvergence("projection left the constraint set", best_theta=theta, best_residual=residual)'),
+}
 
 # installed in every traced process; reads its settings from the environment
 SITECUSTOMIZE = '''
@@ -94,17 +116,18 @@ def main(argv=None) -> int:
         for dump in out.iterdir():
             for name, lines in json.loads(dump.read_text()).items():
                 seen.setdefault(name, set()).update(lines)
-    total = missed = 0
+    total, never_run = 0, []
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text().splitlines()
         lines = executable_lines(path)
-        never = sorted(lines - seen.get(str(path), set()))
         total += len(lines)
-        missed += len(never)
-        for line in never:
-            print(f"{path.relative_to(ROOT)}:{line}: {source[line - 1].strip()}")
-    print(f"pytest exit status {status}; {missed} of {total} executable lines never run")
-    return 0
+        for line in sorted(lines - seen.get(str(path), set())):
+            key = (path.name, source[line - 1].strip())
+            never_run.append(key)
+            print(f"{path.relative_to(ROOT)}:{line}: {key[1]}{'  (allowed)' if key in ALLOWED else ''}")
+    unexplained = sum(key not in ALLOWED for key in never_run)
+    print(f"pytest exit status {status}; {len(never_run)} of {total} executable lines never run, {unexplained} not allowed")
+    return 1 if status or unexplained else 0
 
 
 if __name__ == "__main__":
