@@ -5,18 +5,9 @@ line flags override it.  The seed is recorded in every report so runs are
 byte-reproducible.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import InputError
-
-_FIELDS = {
-    "residual_tol": float,
-    "max_iterations": int,
-    "rng_seed": int,
-    "output_format": str,
-}
 
 
 @dataclass(frozen=True)
@@ -35,6 +26,9 @@ class RunConfig:
             raise InputError("rng_seed must be >= 0")
         if self.output_format not in ("json", "text"):
             raise InputError("output_format must be json or text")
+
+
+_FIELDS = {field.name: field.type for field in fields(RunConfig)}
 
 
 def load_config(path) -> RunConfig:

@@ -125,7 +125,7 @@ def _likelihood_at_rows(kind: EstimatorKind, spec: FamilySpec, sample: SampleDat
     """The kind's likelihood as a function of parameter rows (n, k), NaN on
     the rows whose member is not admissible."""
     a = _estimator_alpha(kind, spec, alpha)
-    ph = empirical_weights(sample)
+    ph = empirical_weights(sample, spec.q.m)
     return lambda thetas: _at_rows(spec, thetas, lambda probs, z: likelihood_rows(kind, probs, ph, a))
 
 
@@ -149,7 +149,7 @@ def _estimating_rows(kind: EstimatorKind, spec: FamilySpec, sample: SampleData, 
     """The estimating residual at parameter rows (n, k), NaN where the member is not admissible."""
     kind = EstimatorKind(kind)
     a = _estimator_alpha(kind, spec, alpha)
-    ph = empirical_weights(sample)
+    ph = empirical_weights(sample, spec.q.m)
 
     def residual(pv, z):
         s = _score_rows(spec, pv, z)
@@ -200,8 +200,7 @@ def solve_estimating_equation(
 # 1/15 of that gap).  The (row, coordinate) pairs that disagree, or whose
 # stencil meets an inadmissible row, divide s by 4 together, in one batch
 # per shrink, at most STENCIL_SHRINKS times, each until it agrees or its gap
-# stops shrinking (rounding then dominates); 5e-4 / 4^9 stays below the
-# 1.6e-8 that the central differences this replaced shrank to.
+# stops shrinking (rounding then dominates).
 GRADIENT_STEP = 5e-4
 STENCIL_TOL = 1e-10
 STENCIL_SHRINKS = 9

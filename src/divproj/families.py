@@ -151,6 +151,15 @@ def _check_theta(spec: FamilySpec, theta) -> np.ndarray:
     return theta
 
 
+def _check_thetas(spec: FamilySpec, thetas) -> np.ndarray:
+    """Parameter rows (n, k); a flat array is the rows of a one-parameter family."""
+    rows = np.asarray(thetas, dtype=float)
+    rows = rows[:, None] if rows.ndim == 1 else rows
+    if rows.ndim != 2 or rows.shape[1] != spec.theta_dim:
+        raise DomainError(f"theta rows have shape {np.shape(thetas)}, expected (n, {spec.theta_dim})")
+    return rows
+
+
 def _bracket(spec: FamilySpec, tilt: np.ndarray, z=0.0) -> np.ndarray:
     """The defining bracket of a power-law kind at tilt = theta.f (any leading
     axes); ``z`` enters only for the non-normalized kind.  A finite tilt
@@ -177,18 +186,6 @@ def _tilt(spec: FamilySpec, thetas: np.ndarray) -> np.ndarray:
                 col += np.multiply(thetas[..., j], f[j, x], out=term)
     tilt[~np.isfinite(tilt)] = np.nan
     return tilt
-
-
-def bracket_values(spec: FamilySpec, theta, z: float = 0.0) -> np.ndarray:
-    """The defining bracket u(x) of a power-law kind, per symbol (NaN where
-    theta.f overflows, +-inf where the bracket does)."""
-    theta = _check_theta(spec, theta)
-    if spec.kind is FamilyKind.EXPONENTIAL:
-        raise DomainError("exponential family has no bracket")
-    if spec.kind is FamilyKind.ALPHA_POWER_LAW:
-        z = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _bracket(spec, _tilt(spec, theta), z)
 
 
 def is_admissible(spec: FamilySpec, theta) -> bool:
@@ -335,11 +332,13 @@ def member_with_normalizer(spec: FamilySpec, theta) -> tuple[Distribution, float
     rows, probs, zs = _members(spec, theta[None, :], z)
     if rows.size:
         return Distribution(spec.alphabet, probs[0], strict=True), float(zs[0])
-    overflow = np.isnan(_tilt(spec, theta))
+    tilt = _tilt(spec, theta)
+    overflow = np.isnan(tilt)
     if overflow.any():
         raise DomainViolation("theta.f overflows on some symbols", symbols=_symbols(spec, overflow))
     if spec.kind is not FamilyKind.EXPONENTIAL:
-        bracket = bracket_values(spec, theta, 0.0 if z is None else z[0])
+        with np.errstate(over="ignore"):
+            bracket = _bracket(spec, tilt, 0.0 if z is None else z[0])
         overflow = ~np.isfinite(bracket)
         if overflow.any():
             raise DomainViolation("bracket overflows on some symbols", symbols=_symbols(spec, overflow))
@@ -375,10 +374,7 @@ def eval_members_batch(spec: FamilySpec, thetas: np.ndarray):
     ``admissible`` is the boolean mask; an inadmissible row is NaN across
     the whole row.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim == 1:
-        thetas = thetas[:, None]
-    probs = _at_rows(spec, thetas, lambda probs, z: probs)
+    probs = _at_rows(spec, _check_thetas(spec, thetas), lambda probs, z: probs)
     return probs, ~np.isnan(probs[:, 0])
 
 
@@ -409,13 +405,12 @@ def _normalizer_rows(spec: FamilySpec, tilt: np.ndarray):
     mass of the root test).  From a point right of the root every Newton
     step stays right of it and inside the bracket, so the row converges
     monotonically (the jump is taken only when it lies strictly inside the
-    bracket; should rounding put it outside, the row bisects).  A row that
-    never left the bracket takes the same steps as before.  Only the active
-    rows are evaluated:
-    a rootless row never enters, and a row leaves on the step it converges,
-    keeping that step's mass, Newton point and admissibility.  Each row's
-    arithmetic is that of its one-row call, so a batch and the one-row calls
-    agree bit for bit.
+    bracket; should rounding put it outside, the row bisects).  Only the
+    active rows are evaluated: a rootless row never enters, and a row leaves
+    on the step it stops (|mass - 1| <= NORMALIZER_TOL, or the last step)
+    with its answer, Z that step's Newton point when it is found and inside
+    the bracket, else the iterate.  Each row's arithmetic is that of its
+    one-row call, so a batch and the one-row calls agree bit for bit.
 
     Returns ``(z, found, has_root, lo, hi)``: ``found`` marks rows whose
     normalizer keeps every bracket positive with |mass - 1| within
@@ -446,13 +441,13 @@ def _normalizer_rows(spec: FamilySpec, tilt: np.ndarray):
         else:
             lo, hi = z_edge, z_edge + m ** (1.0 - a) / (1.0 - a)
             has_root = np.ones(n, dtype=bool)
-        interval = (lo, hi)
         z = np.where((lo < 0.0) & (0.0 < hi), 0.0, 0.5 * (lo + hi))
+        found = np.zeros(n, dtype=bool)
         # the rows still iterating, and their tilts, iterates and brackets;
         # a rootless row keeps its start and is not found
         rows = np.flatnonzero(has_root)
         if not rows.size:
-            return z, has_root.copy(), has_root, *interval
+            return z, found, has_root, lo, hi
         # where a step that leaves the bracket goes instead of its midpoint
         # (NaN: nowhere).  Above a = 2 it is the lower of two points with
         # mass <= 1, right of the root: where the mean bracket is m^(1-a)
@@ -463,38 +458,28 @@ def _normalizer_rows(spec: FamilySpec, tilt: np.ndarray):
             jensen = reduce_rows(np.add, edges) / m - m ** (1.0 - a) / (a - 1.0)
             jump = np.minimum(jensen, z_edge - ((1.0 - edge_mass) / m) ** (a - 1.0) / (a - 1.0))
         t, zr, lr, hr, jr = (tilt, z, lo, hi, jump) if rows.size == n else (x[rows] for x in (tilt, z, lo, hi, jump))
-        mass = None  # each row's last state, kept once some row has stopped
         for step in range(NORMALIZER_MAX_STEPS):
             mr, slope, ar = evaluate(t, zr)
             above = mr >= 1.0
             lr, hr = np.where(above, zr, lr), np.where(above, hr, zr)
             nr = zr - (mr - 1.0) / slope
             ir = (lr < nr) & (nr < hr)
-            stop = np.abs(mr - 1.0) <= NORMALIZER_TOL
-            if step == NORMALIZER_MAX_STEPS - 1:
-                stop[:] = True
+            stop = (np.abs(mr - 1.0) <= NORMALIZER_TOL) | (step == NORMALIZER_MAX_STEPS - 1)
             if stop.any():
-                if mass is None:
-                    if rows.size == n and stop.all():
-                        z, mass, newton, inside, admissible = zr, mr, nr, ir, ar
-                        break
-                    mass, newton = np.zeros(n), z.copy()
-                    inside, admissible = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-                # converged rows leave the active set with their last state;
-                # compacting only on such steps keeps the one-row case cheap
+                # a last Newton step lands within rounding of the root, so finite
+                # differences see no solver noise in Z; callers re-check its brackets
+                fr = ar & (np.abs(mr - 1.0) <= NORMALIZER_ACCEPT_TOL)
+                zf = np.where(fr & ir, nr, zr)
+                if rows.size == n and stop.all():
+                    return zf, fr, has_root, lo, hi
                 done = rows[stop]
-                z[done], mass[done], newton[done] = zr[stop], mr[stop], nr[stop]
-                inside[done], admissible[done] = ir[stop], ar[stop]
+                z[done], found[done] = zf[stop], fr[stop]
                 if stop.all():
                     break
                 keep = ~stop
                 rows, t, zr, lr, hr, nr, ir, jr = (x[keep] for x in (rows, t, zr, lr, hr, nr, ir, jr))
             zr = np.where(ir, nr, np.where((lr < jr) & (jr < hr), jr, 0.5 * (lr + hr)))
-    found = has_root & admissible & (np.abs(mass - 1.0) <= NORMALIZER_ACCEPT_TOL)
-    # one last Newton step from |mass - 1| <= NORMALIZER_TOL lands within
-    # rounding of the root, so Z(theta) is smooth to rounding and finite-difference
-    # gradients of the likelihoods see no solver noise; callers re-check the brackets
-    return np.where(found & inside, newton, z), found, has_root, *interval
+    return z, found, has_root, lo, hi
 
 
 def normalizer_root(spec: FamilySpec, theta) -> float:
@@ -576,6 +561,8 @@ def fit_family_form(spec: FamilySpec, probs: np.ndarray):
     Returns ``(theta, const, residual)`` where ``residual`` is the RMS
     misfit of the linear relation divided by the RMS of its target.
     """
+    if np.shape(probs) != (spec.q.m,):
+        raise DomainError(f"distribution has shape {np.shape(probs)}, expected ({spec.q.m},)")
     return _fit_form(spec.kind, spec.alpha, spec.q.probs, spec.f, probs)
 
 

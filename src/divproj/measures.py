@@ -244,19 +244,20 @@ class SampleData:
         return empirical(obs, alphabet)
 
 
-def empirical_weights(sample_or_dist) -> np.ndarray:
-    """Empirical probability vector of a SampleData, or a Distribution's own.
+def empirical_weights(sample_or_dist, m: int) -> np.ndarray:
+    """Empirical probability vector (m,) of a SampleData, or a Distribution's own.
 
     The estimating/projection equations only read the empirical measure, and
     some transformed problems (escorted empirical measures) are not
     realizable by any finite sample; accepting a bare Distribution keeps
     those problems expressible.
     """
-    if isinstance(sample_or_dist, SampleData):
-        return sample_or_dist.empirical.probs
-    if isinstance(sample_or_dist, Distribution):
-        return sample_or_dist.probs
-    raise DomainError(f"expected SampleData or Distribution, got {type(sample_or_dist)!r}")
+    dist = sample_or_dist.empirical if isinstance(sample_or_dist, SampleData) else sample_or_dist
+    if not isinstance(dist, Distribution):
+        raise DomainError(f"expected SampleData or Distribution, got {type(sample_or_dist)!r}")
+    if dist.m != m:
+        raise DomainError(f"sample has shape ({dist.m},), expected ({m},)")
+    return dist.probs
 
 
 TALLY_CHUNK = 2**16  # observations tallied at once

@@ -42,9 +42,9 @@ from functools import cached_property
 import numpy as np
 
 from .divergences import DivergenceKind, check_log_terms, divergence_fixed_p, divergence_rows
-from .errors import EmptyFeasibleGrid, InputError, NoAdmissibleTheta
+from .errors import DomainError, EmptyFeasibleGrid, InputError, NoAdmissibleTheta
 from .families import HALFSPACE_SLACK, FamilySpec, LinearFamilySpec, _members, admissible_halfspaces
-from .measures import Distribution, SampleData, check_alpha, row_dots
+from .measures import Distribution, SampleData, check_alpha, empirical_weights, row_dots
 
 # The cap bounds an oracle's time (and a simplex grid's integer compositions,
 # which stay whole); a grid of more points is refused before anything is
@@ -90,6 +90,14 @@ def _whole(value, what: str) -> int:
     if isinstance(value, numbers.Real) and math.isfinite(value) and value == math.floor(value):
         return int(value)
     raise InputError(f"{what} must be a whole number, got {value!r}")
+
+
+def _per_axis(value, k: int, what: str) -> np.ndarray:
+    """``value``, a scalar or one entry per axis, on each of k axes."""
+    value = np.asarray(value)
+    if value.ndim > 1 or value.size not in (1, k):
+        raise DomainError(f"parameter grid {what} have shape {value.shape}, expected () or ({k},)")
+    return np.broadcast_to(value, (k,))
 
 
 @dataclass(frozen=True)
@@ -177,9 +185,9 @@ class ThetaGrid:
 
     @classmethod
     def of(cls, lo, hi, steps, k: int = 1) -> "ThetaGrid":
-        lo = np.broadcast_to(np.asarray(lo, dtype=float), (k,)).copy()
-        hi = np.broadcast_to(np.asarray(hi, dtype=float), (k,)).copy()
-        steps = [_whole(s, "parameter grid steps") for s in np.broadcast_to(np.asarray(steps), (k,))]
+        lo = _per_axis(np.asarray(lo, dtype=float), k, "lower bounds").copy()
+        hi = _per_axis(np.asarray(hi, dtype=float), k, "upper bounds").copy()
+        steps = [_whole(s, "parameter grid steps") for s in _per_axis(steps, k, "steps")]
         try:
             steps = np.array(steps, dtype=np.int64)
         except OverflowError:
@@ -312,7 +320,9 @@ def grid_reverse_min(
     grid: ``(theta_best, value)`` at the first lowest D(P_hat, P_theta)."""
     alpha = check_alpha(alpha, allow_one=True)
     kind = DivergenceKind(kind)
-    ph = sample.empirical.probs
+    ph = empirical_weights(sample, spec.q.m)
+    if theta_grid.lo.shape != (spec.theta_dim,):
+        raise DomainError(f"parameter grid bounds have shape {theta_grid.lo.shape}, expected ({spec.theta_dim},)")
     lowest = _FirstLowest()
     for thetas in _candidate_blocks(theta_grid, spec):
         rows, probs, _ = _members(spec, thetas)

@@ -86,7 +86,7 @@ def _projection_rows(kind: DivergenceKind, spec: FamilySpec, sample: SampleData,
     kind = DivergenceKind(kind)
     a = _estimator_alpha(MATCHED_ESTIMATOR[kind], spec, alpha)
     kind = DivergenceKind.KL if a == 1.0 else kind
-    f, qv, ph = spec.f, spec.q.probs, empirical_weights(sample)
+    f, qv, ph = spec.f, spec.q.probs, empirical_weights(sample, spec.q.m)
     if kind is DivergenceKind.RENYI:
         ph = ph**a / np.sum(ph**a)  # Renyi: moment matching between the escort (scaled) measures
     power = qv ** (1.0 - a) if kind is DivergenceKind.RENYI else qv ** (a - 1.0)
@@ -339,7 +339,7 @@ def reverse_dpd_projection(sample: SampleData, spec: FamilySpec) -> ReverseProje
     """
     if spec.kind is not FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW:
         raise DomainError("reverse projection route applies to the non-normalized kind")
-    fbar = spec.f @ sample.empirical.probs
+    fbar = spec.f @ empirical_weights(sample, spec.q.m)
     lin = LinearFamilySpec(spec.f, fbar, alphabet=spec.alphabet)
     fwd = forward_dpd_projection(spec.q, lin, spec.alpha)
     p_star = fwd.p_star
@@ -367,7 +367,7 @@ def power_law_moment_map(spec: FamilySpec, theta, sample: SampleData) -> np.ndar
         raise DomainError("moment map is defined on the power-law family")
     a = spec.alpha
     pv = eval_member(spec, theta).probs
-    sample_mean_power = float(empirical_weights(sample) @ pv ** (a - 1.0))
+    sample_mean_power = float(empirical_weights(sample, spec.q.m) @ pv ** (a - 1.0))
     return (spec.f @ pv) * sample_mean_power / float(np.sum(pv**a))
 
 
@@ -391,5 +391,5 @@ def power_law_moment_jacobian(spec: FamilySpec, theta, sample: SampleData) -> np
     mean_g = g @ escort_w
     centered = g - mean_g[:, None]
     cov = (centered * escort_w[None, :]) @ centered.T
-    sample_mean_power = float(empirical_weights(sample) @ pv ** (a - 1.0))
+    sample_mean_power = float(empirical_weights(sample, spec.q.m) @ pv ** (a - 1.0))
     return -(z ** (1.0 - a)) * sample_mean_power * cov

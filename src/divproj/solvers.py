@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainViolation, NoConvergence
+from .errors import DomainError, DomainViolation, NoConvergence
 from .measures import Distribution
 
 RESIDUAL_TOL = 1e-10
@@ -92,9 +92,12 @@ def solve_residual(
     THETA_CAP counts as inadmissible.  A run that stops short of ``tol`` raises
     ``NoConvergence`` naming why: the Jacobian stencil left the admissible
     region, the line search ran out of halvings (against the box, when the
-    full step left it), or the iteration cap was hit.
+    full step left it), or the iteration cap was hit.  An ``init`` of any
+    shape but (theta_dim,) raises ``DomainError``.
     """
-    theta = np.zeros(theta_dim) if init is None else np.asarray(init, dtype=float).copy()
+    theta = np.zeros(theta_dim) if init is None else np.atleast_1d(np.asarray(init, dtype=float)).copy()
+    if theta.shape != (theta_dim,):
+        raise DomainError(f"init has shape {theta.shape}, expected ({theta_dim},)")
     r = residual_rows(theta[None, :])[0]
     if np.isnan(r).any():
         raise NoConvergence("start is inadmissible", best_theta=theta)

@@ -24,11 +24,13 @@ import numpy as np
 
 from .errors import CertificateMismatch, DomainError, EmptySampleError
 from .estimators import MATCHED_FAMILY, EstimatorKind, likelihood_rows
-from .families import FamilyKind, FamilySpec, _members, member_with_normalizer
-from .measures import Distribution, SampleData, check_alpha
+from .families import FamilyKind, FamilySpec, _check_thetas, _members, member_with_normalizer
+from .measures import Distribution, SampleData, check_alpha, empirical_weights
 from .oracle import SimplexGrid
 
 MATCHED_LIKELIHOOD = {family: kind for kind, family in MATCHED_FAMILY.items()}
+CONST_TOL = 1e-9  # how far from constant an equal-T likelihood difference may be
+MAX_COMPOSITIONS = 5 * 10**4  # an equal-T search over more would not finish in seconds
 
 
 @dataclass(frozen=True)
@@ -46,32 +48,36 @@ def sufficient_statistic(
     alpha: float = 1.0,
 ) -> SufficientStatistic:
     """The statistic through which the matched likelihood sees the sample."""
-    model_kind = FamilyKind(model_kind)
+    model_kind, f, alpha = _statistic_inputs(model_kind, q, f, alpha)
     if sample.n == 0:
         raise EmptySampleError("sufficient statistic of an empty sample")
+    return SufficientStatistic(model_kind, *_statistic(model_kind, empirical_weights(sample, q.m), q, f, alpha))
+
+
+def _statistic_inputs(model_kind: FamilyKind, q: Distribution, f, alpha: float):
+    """``(model_kind, f, alpha)`` checked against the reference measure q."""
     if not q.is_strictly_positive():
         raise DomainError("reference measure must have full support")
-    alpha = check_alpha(alpha, allow_one=True)
     f = np.atleast_2d(np.asarray(f, dtype=float))
-    ph = sample.empirical.probs
+    if f.ndim != 2 or f.shape[1] != q.m:
+        raise DomainError(f"statistic has shape {f.shape}, expected (k, {q.m})")
+    return FamilyKind(model_kind), f, check_alpha(alpha, allow_one=True)
+
+
+def _statistic(model_kind: FamilyKind, ph: np.ndarray, q: Distribution, f: np.ndarray, alpha: float):
+    """``(value, components_doc)`` of the statistic at the empirical weights ``ph``."""
     fbar = f @ ph
     if model_kind in (FamilyKind.EXPONENTIAL, FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW):
-        return SufficientStatistic(model_kind, fbar, "sample mean of f")
+        return fbar, "sample mean of f"
     if model_kind is FamilyKind.ALPHA_POWER_LAW:
         denom = float(ph @ q.probs ** (alpha - 1.0))
-        return SufficientStatistic(
-            model_kind, _quotient(fbar, denom, alpha), "sample mean of f over sample mean of Q^(alpha-1)"
-        )
+        return _quotient(fbar, denom, alpha), "sample mean of f over sample mean of Q^(alpha-1)"
     # alpha-exponential: escort averages under the scaled empirical measure
     w = ph**alpha
     w = _quotient(w, float(w.sum()), alpha)
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
         denom = float(w @ q.probs ** (1.0 - alpha))
-    return SufficientStatistic(
-        model_kind,
-        _quotient(f @ w, denom, alpha),
-        "escort mean of f over escort mean of Q^(1-alpha)",
-    )
+    return _quotient(f @ w, denom, alpha), "escort mean of f over escort mean of Q^(1-alpha)"
 
 
 def _quotient(num: np.ndarray, denom: float, alpha: float) -> np.ndarray:
@@ -127,7 +133,6 @@ def factorization_check(
     sample_b: SampleData,
     theta_grid: np.ndarray,
     t_tol: float = 1e-10,
-    const_tol: float = 1e-9,
 ) -> FactorizationReport:
     """Verify the equal-T consequence over a parameter grid.
 
@@ -140,9 +145,7 @@ def factorization_check(
     t_a = sufficient_statistic(spec.kind, sample_a, spec.q, spec.f, spec.alpha).value
     t_b = sufficient_statistic(spec.kind, sample_b, spec.q, spec.f, spec.alpha).value
     t_equal = bool(np.max(np.abs(t_a - t_b)) <= t_tol)
-    grid = np.asarray(theta_grid, dtype=float)
-    if grid.ndim == 1:
-        grid = grid[:, None]
+    grid = _check_thetas(spec, theta_grid)
     rows, probs, _ = _members(spec, grid)
     if not rows.size:
         raise DomainError("no admissible grid point")
@@ -152,7 +155,7 @@ def factorization_check(
     diff = vals_a - vals_b
     deviation = float(np.max(np.abs(diff - diff.mean())))
     ia, ib = int(np.argmax(vals_a)), int(np.argmax(vals_b))
-    if t_equal and deviation > const_tol:
+    if t_equal and deviation > CONST_TOL:
         raise CertificateMismatch(
             f"equal-T samples produced a non-constant likelihood difference ({deviation:.3e})",
             values=(float(diff.min()), float(diff.max())),
@@ -181,22 +184,25 @@ def equal_statistic_pairs(
 
     Returns a list of ``(sample_a, sample_b)`` with different count vectors
     whose sufficient statistics agree within ``tol`` (each composition is
-    enumerated once, so no pair repeats a count vector).  Intended for
-    n <= 12 at desk scale.
+    enumerated once, so no pair repeats a count vector), at most
+    ``max_pairs``.  Each statistic meets the later ones in one numpy call
+    per coordinate; more than MAX_COMPOSITIONS compositions are refused.
     """
     if not 1 <= n <= 60:
         raise DomainError("exhaustive search is meant for 1 <= n <= 60")
+    grid = SimplexGrid(q.m, n)
+    if grid.point_count() > MAX_COMPOSITIONS:
+        raise DomainError(f"exhaustive search over {grid.point_count()} compositions exceeds {MAX_COMPOSITIONS}")
+    model_kind, f, alpha = _statistic_inputs(model_kind, q, f, alpha)
+    counts = grid.counts()
+    stats = np.array([_statistic(model_kind, c / grid.resolution, q, f, alpha)[0] for c in counts]).T.copy()
     found = []
-    stats = []
-    samples = []
-    for counts in SimplexGrid(q.m, n).counts():
-        sample = SampleData.from_counts(counts, q.alphabet)
-        stats.append(sufficient_statistic(model_kind, sample, q, f, alpha).value)
-        samples.append(sample)
-    for i in range(len(samples)):
-        for j in range(i + 1, len(samples)):
-            if np.max(np.abs(stats[i] - stats[j])) <= tol:
-                found.append((samples[i], samples[j]))
-                if len(found) >= max_pairs:
-                    return found
+    for i in range(len(counts) - 1):
+        close = np.flatnonzero(np.abs(stats[0, i + 1 :] - stats[0, i]) <= tol) + i + 1
+        for coordinate in stats[1:]:
+            close = close[np.abs(coordinate[close] - coordinate[i]) <= tol]
+        for j in close[: max_pairs - len(found)]:
+            found.append(tuple(SampleData.from_counts(counts[x], q.alphabet) for x in (i, j)))
+        if len(found) >= max_pairs:
+            break
     return found

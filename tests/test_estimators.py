@@ -32,9 +32,12 @@ from divproj.families import (
     eval_members_batch,
     is_admissible,
     member_with_normalizer,
+    theta_of_member,
 )
 from divproj.measures import ROW_LOOP_MIN, Alphabet, Distribution, SampleData, empirical
-from divproj.projection import _projection_rows, projection_residual, solve_projection_equation
+from divproj.oracle import ThetaGrid, grid_reverse_min
+from divproj.projection import _projection_rows, projection_residual, reverse_dpd_projection, solve_projection_equation
+from divproj.sufficiency import factorization_check, likelihood_split, sufficient_statistic
 from divproj.solvers import FD_STEP, THETA_CAP, fd_jacobian, solve_residual
 
 from conftest import (
@@ -650,3 +653,51 @@ class TestUnderflowIsNumeric:
     def test_far_start_is_no_convergence(self, solver):
         with pytest.raises(NoConvergence):
             solver(EstimatorKind.MLE, BERNOULLI, SAMPLE_7, init=[800.0])
+
+
+# Two families over four symbols with k = 2, Q = (0.2, 0.3, 0.2, 0.3) and
+# f = [[0, 1, 2, 0], [1, 0, 0, 0]] at alpha = 2, and the Jones family over
+# three symbols with k = 1
+Q4 = Distribution(Alphabet.of_size(4), [0.2, 0.3, 0.2, 0.3])
+F4 = np.array([[0.0, 1.0, 2.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+BASU_K2 = FamilySpec(FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW, Q4, F4, alpha=2.0)
+JONES_K2 = FamilySpec(FamilyKind.ALPHA_POWER_LAW, Q4, F4, alpha=2.0)
+JONES_K1 = FamilySpec(
+    FamilyKind.ALPHA_POWER_LAW, Distribution(Alphabet.of_size(3), [0.2, 0.3, 0.5]), [[0.0, 1.0, 2.0]], alpha=2.0
+)
+SAMPLE_4 = SampleData.from_counts([1, 2, 3, 1], Q4.alphabet)
+SAMPLE_3 = SampleData.from_counts([1, 2, 3], JONES_K1.alphabet)
+SAMPLE_2 = SampleData.from_counts([1, 2], AB)
+BASU, JONES = EstimatorKind.BASU, EstimatorKind.JONES
+DPD, RAE = DivergenceKind.DENSITY_POWER, DivergenceKind.REL_ALPHA_ENTROPY
+SHAPE_CASES = {
+    "grid_of_one_axis": lambda: grid_reverse_min(DPD, 2.0, SAMPLE_4, BASU_K2, ThetaGrid.of(-1, 1, 11, k=1)),
+    "grid_bounds_of_three": lambda: ThetaGrid.of([0, 1, 2], [1, 2, 3], 5, k=2),
+    "factorization_grid_of_width_one": lambda: factorization_check(BASU_K2, SAMPLE_4, SAMPLE_4, np.zeros((5, 1))),
+    "batch_of_width_three": lambda: eval_members_batch(BASU_K2, np.zeros((5, 3))),
+    "estimating_equation_sample": lambda: solve_estimating_equation(BASU, BASU_K2, SAMPLE_2),
+    "projection_equation_sample": lambda: solve_projection_equation(DPD, BASU_K2, SAMPLE_2),
+    "likelihood_route_sample": lambda: maximize_likelihood(BASU, BASU_K2, SAMPLE_2),
+    "likelihood_sample": lambda: likelihood(BASU, BASU_K2, [0.0, 0.0], SAMPLE_2),
+    "estimating_residual_sample": lambda: estimating_residual(BASU, BASU_K2, [0.0, 0.0], SAMPLE_2),
+    "grid_reverse_min_sample": lambda: grid_reverse_min(DPD, 2.0, SAMPLE_2, BASU_K2, ThetaGrid.of(-1, 1, 11, k=2)),
+    "factorization_sample": lambda: factorization_check(BASU_K2, SAMPLE_2, SAMPLE_2, np.zeros((5, 2))),
+    "likelihood_split_sample": lambda: likelihood_split(BASU_K2, [0.0, 0.0], SAMPLE_2),
+    "reverse_projection_sample": lambda: reverse_dpd_projection(SAMPLE_2, BASU_K2),
+    "theta_of_member_distribution": lambda: theta_of_member(BASU_K2, Distribution(JONES_K1.alphabet, [0.2, 0.3, 0.5])),
+    "sufficient_statistic_columns": lambda: sufficient_statistic(BASU_K2.kind, SAMPLE_4, Q4, np.zeros((1, 3))),
+    # a start of the wrong length, on each route
+    "estimating_equation_init": lambda: solve_estimating_equation(JONES, JONES_K1, SAMPLE_3, init=[0.1, 0.2]),
+    "likelihood_route_init": lambda: maximize_likelihood(JONES, JONES_K1, SAMPLE_3, init=[0.1, 0.2]),
+    "projection_equation_init": lambda: solve_projection_equation(RAE, JONES_K2, SAMPLE_4, init=[0.1]),
+    "likelihood_route_short_init": lambda: maximize_likelihood(JONES, JONES_K2, SAMPLE_4, init=[0.1]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", SHAPE_CASES.values(), ids=SHAPE_CASES.keys())
+def test_mismatched_shapes_raise_domain_errors(call):
+    # each shape is checked at the public entry, before any numpy call can
+    # raise its own error or broadcast past the mismatch
+    with pytest.raises(DomainError, match="shape"):
+        call()

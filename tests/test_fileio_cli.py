@@ -529,28 +529,53 @@ class TestCLI:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "argv, message",
+        "argv, error, message",
         [
-            (["oracle", "reverse", "--kind", "kl", "--family", "{fam}", "--sample", "{smp}", "--box=-1:1"], "lo:hi:steps"),
-            (["oracle", "reverse", "--kind", "kl", "--family", "{fam}", "--sample", "{smp}", "--box=-1:1:x"], "lo:hi:steps"),
+            (["oracle", "reverse", "--kind", "kl", "--family", "{fam}", "--sample", "{smp}", "--box=-1:1"],
+             "InputError", "lo:hi:steps"),
+            (["oracle", "reverse", "--kind", "kl", "--family", "{fam}", "--sample", "{smp}", "--box=-1:1:x"],
+             "InputError", "lo:hi:steps"),
             (["suffcheck", "--model", "exp", "--family", "{fam}", "--sample-a", "{smp}", "--sample-b", "{smp_b}",
-              "--grid=-1:1:5:7"], "lo:hi:steps"),
+              "--grid=-1:1:5:7"], "InputError", "lo:hi:steps"),
             (["suffcheck", "--model", "bpow", "--family", "{fam}", "--sample-a", "{smp}", "--sample-b", "{smp_b}",
-              "--grid=-1:1:5"], "--model must match"),
-            (["sample", "--family", "{fam}", "--theta", "0.1", "--n", "5", "--rate", "0.2"], "--outlier"),
-            (["--config", "{tmp}/no-such.cfg", "divergence", "--kind", "kl", "--p", "{p}", "--q", "{q}"], "not found"),
-            (["--config", "{no_equals}", "divergence", "--kind", "kl", "--p", "{p}", "--q", "{q}"], "key=value"),
-            (["--config", "{bad_value}", "divergence", "--kind", "kl", "--p", "{p}", "--q", "{q}"], "bad value"),
-            (["estimate", "--kind", "mle", "--family", "{bad_json}", "--sample", "{smp}"], "invalid JSON"),
-            (["estimate", "--kind", "mle", "--family", "{array}", "--sample", "{smp}"], "expected a JSON object"),
-            (["estimate", "--kind", "mle", "--family", "{unknown_kind}", "--sample", "{smp}"], "unknown family kind"),
-            (["estimate", "--kind", "jones", "--family", "{alpha_list}", "--sample", "{smp}"], "must be one number"),
-            (["estimate", "--kind", "mle", "--family", "{fam}", "--sample", "{tmp}/no-such.csv"], "not found"),
+              "--grid=-1:1:5"], "InputError", "--model must match"),
+            (["sample", "--family", "{fam}", "--theta", "0.1", "--n", "5", "--rate", "0.2"], "InputError", "--outlier"),
+            (["--config", "{tmp}/no-such.cfg", "divergence", "--kind", "kl", "--p", "{p}", "--q", "{q}"],
+             "InputError", "not found"),
+            (["--config", "{no_equals}", "divergence", "--kind", "kl", "--p", "{p}", "--q", "{q}"],
+             "InputError", "key=value"),
+            (["--config", "{bad_value}", "divergence", "--kind", "kl", "--p", "{p}", "--q", "{q}"],
+             "InputError", "bad value"),
+            (["estimate", "--kind", "mle", "--family", "{bad_json}", "--sample", "{smp}"],
+             "InputError", "invalid JSON"),
+            (["estimate", "--kind", "mle", "--family", "{array}", "--sample", "{smp}"],
+             "InputError", "expected a JSON object"),
+            (["estimate", "--kind", "mle", "--family", "{unknown_kind}", "--sample", "{smp}"],
+             "InputError", "unknown family kind"),
+            (["estimate", "--kind", "jones", "--family", "{alpha_list}", "--sample", "{smp}"],
+             "InputError", "must be one number"),
+            (["estimate", "--kind", "mle", "--family", "{fam}", "--sample", "{tmp}/no-such.csv"],
+             "InputError", "not found"),
+            # an --init of the wrong length, on each route
+            (["estimate", "--kind", "jones", "--family", "{fam_a}", "--sample", "{smp_a}", "--init", "0.1,0.2"],
+             "DomainError", "init has shape (2,), expected (1,)"),
+            (["estimate", "--kind", "jones", "--family", "{fam_a}", "--sample", "{smp_a}", "--route", "lik",
+              "--init", "0.1,0.2"], "DomainError", "init has shape (2,), expected (1,)"),
+            (["estimate", "--kind", "jones", "--family", "{fam_b}", "--sample", "{smp_4}", "--init", "0.1"],
+             "DomainError", "init has shape (1,), expected (2,)"),
+            (["estimate", "--kind", "jones", "--family", "{fam_b}", "--sample", "{smp_4}", "--route", "lik",
+              "--init", "0.1"], "DomainError", "init has shape (1,), expected (2,)"),
         ],
     )
-    def test_malformed_arguments_exit_two(self, capsys, files, tmp_path, argv, message):
+    def test_malformed_arguments_exit_two(self, capsys, files, tmp_path, argv, error, message):
         family = {"kind": "alpha_power_law", "alpha": 2, "q": [0.5, 0.5], "f": [[-0.5, 0.5]], "alphabet": ["a", "b"]}
         malformed = {
+            "fam_a.json": json.dumps({**family, "q": [0.2, 0.3, 0.5], "f": [[0, 1, 2]], "alphabet": list("abc")}),
+            "smp_a.json": json.dumps({"alphabet": list("abc"), "observations": list("abbccc")}),
+            "fam_b.json": json.dumps({
+                **family, "q": [0.2, 0.3, 0.2, 0.3], "f": [[0, 1, 2, 0], [1, 0, 0, 0]], "alphabet": list("abcd"),
+            }),
+            "smp_4.json": json.dumps({"alphabet": list("abcd"), "observations": list("abbcccd")}),
             "no_equals.cfg": "rng_seed 4\n",
             "bad_value.cfg": "max_iterations = many\n",
             "bad_json.json": "{",
@@ -564,7 +589,7 @@ class TestCLI:
         code, out, err = self.run(capsys, *(a.format(**files) for a in argv))
         assert code == 2
         report = json.loads(out, parse_constant=_refuse_constant)
-        assert report["error"] == "InputError" and message in report["message"]
+        assert report["error"] == error and message in report["message"]
         assert "Traceback" not in err
 
     def test_a_certificate_mismatch_reports_its_values(self, capsys, files, monkeypatch):
@@ -749,7 +774,7 @@ class TestSampleGenerator:
 CLI_NUMBERS = ("nan", "inf", "-inf", "0", "-1", "-3", "0.5", "2", "1e308", "-1e308")
 CLI_COUNTS = ("-3", "0", "1", "7")  # small, so that no example runs long
 CLI_GRID_STEPS = CLI_COUNTS + ("100000", "2000000")  # the last is over the point cap
-CLI_VECTORS = ("nan", "inf", "", "0", "5", "-1e308", "0,0", "x")
+CLI_VECTORS = ("nan", "inf", "", "0", "5", "-1e308", "0,0", "0.1,0.2,0.3", "x")  # 0 to 3 entries
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,7 @@ from divproj.errors import CertificateMismatch, DomainError, EmptySampleError, I
 from divproj.estimators import EstimatorKind, likelihood, maximize_likelihood, solve_estimating_equation
 from divproj.families import FamilyKind, FamilySpec
 from divproj.measures import Alphabet, Distribution, SampleData
+from divproj.oracle import SimplexGrid
 from divproj.sufficiency import (
     MATCHED_LIKELIHOOD,
     equal_statistic_pairs,
@@ -178,6 +179,35 @@ class TestEqualStatisticSearch:
             (a.counts.tolist(), b.counts.tolist()) for a, b in every[:3]
         ]
 
+    @staticmethod
+    def reference_pairs(kind, q, f, alpha, n, tol=1e-10, max_pairs=20):
+        """The search one sample and one pair at a time."""
+        samples = [SampleData.from_counts(c, q.alphabet) for c in SimplexGrid(q.m, n).counts()]
+        stats = [sufficient_statistic(kind, s, q, f, alpha).value for s in samples]
+        found = []
+        for i in range(len(samples)):
+            for j in range(i + 1, len(samples)):
+                if np.max(np.abs(stats[i] - stats[j])) <= tol and len(found) < max_pairs:
+                    found.append((samples[i].counts.tolist(), samples[j].counts.tolist()))
+        return found
+
+    @pytest.mark.parametrize("kind, alpha", [
+        (FamilyKind.EXPONENTIAL, 1.0), (FamilyKind.NON_NORMALIZED_ALPHA_POWER_LAW, 2.0),
+        (FamilyKind.ALPHA_POWER_LAW, 1.5), (FamilyKind.ALPHA_EXPONENTIAL, 2.0),
+    ])
+    @pytest.mark.parametrize("q, f, n", [
+        (Distribution(A3, [0.3, 0.4, 0.3]), [[0.0, 1.0, 2.0]], 9),
+        (Distribution(A4, [0.1, 0.2, 0.3, 0.4]), [[0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]], 6),
+        (Distribution(A4, np.full(4, 0.25)), [[0.0, 1.0, 2.0, 3.0]], 5),
+    ])
+    @pytest.mark.parametrize("max_pairs", [3, 1000])
+    def test_pairs_are_the_reference_search(self, kind, alpha, q, f, n, max_pairs):
+        pairs = equal_statistic_pairs(kind, q, np.array(f), alpha, n, max_pairs=max_pairs)
+        assert [(a.counts.tolist(), b.counts.tolist()) for a, b in pairs] == self.reference_pairs(
+            kind, q, np.array(f), alpha, n, max_pairs=max_pairs
+        )
+        assert all(a.observations == SampleData.from_counts(a.counts, q.alphabet).observations for a, _ in pairs)
+
     def test_finds_escort_ties_for_uniform_reference(self):
         q = Distribution(A3, np.full(3, 1 / 3))
         pairs = equal_statistic_pairs(
@@ -213,6 +243,13 @@ class TestEqualStatisticSearch:
             lambda: equal_statistic_pairs(FamilyKind.EXPONENTIAL, Distribution(A3, np.full(3, 1.0 / 3.0)), [[0.0, 1.0, 2.0]], 1.0, 61),
             DomainError,
             id="search_beyond_sixty",
+        ),
+        pytest.param(  # 635,376 compositions: refused before any is built
+            lambda: equal_statistic_pairs(
+                FamilyKind.EXPONENTIAL, Distribution(Alphabet.of_size(5), np.full(5, 0.2)), [[0.0, 1.0, 2.0, 3.0, 4.0]], 1.0, 60
+            ),
+            DomainError,
+            id="search_beyond_the_composition_cap",
         ),
     ],
 )
